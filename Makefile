@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures fuzz-smoke race determinism bench bench-snapshot bench-compare snapshot-smoke metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke verify
+.PHONY: build test vet lint lint-fixtures fuzz-smoke race determinism bench bench-snapshot bench-compare snapshot-smoke metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke verify
 
 build:
 	$(GO) build ./...
@@ -115,7 +115,14 @@ load-smoke:
 cluster-smoke:
 	$(GO) test -run 'RunClusterSmoke' -count=1 ./cmd/hcload/
 
+# Benchmark smoke: bench/ is its own Go module (so the root go test
+# ./... never builds it), yet its per-layer ladder drives the selection
+# engines and the server directly. Its tests build hcperf and run every
+# workload once at smoke size.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # Gate order: cheap static analysis first (vet, then hclint and its
 # fixture self-test), then the fuzz smoke, then the race/determinism
 # suite and the e2e smokes.
-verify: build vet lint lint-fixtures fuzz-smoke race determinism snapshot-smoke metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke
+verify: build vet lint lint-fixtures fuzz-smoke race determinism snapshot-smoke metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"hcrowd/internal/crowd"
@@ -149,5 +150,33 @@ func TestNewCostPlanEmptyCrowd(t *testing.T) {
 	}
 	if _, err := newCostPlan(Config{K: 1, Budget: 5}, crowd.Crowd{}, nil); !errors.Is(err, taskselect.ErrNoExperts) {
 		t.Fatalf("empty (non-nil) crowd: err = %v, want taskselect.ErrNoExperts", err)
+	}
+}
+
+// TestBadCostRejected is the regression test for per-answer price
+// validation in both loop flavours: a zero, negative or NaN price must
+// fail the run up front. A NaN price used to slip past a `c <= 0` check,
+// letting the cost-aware chunk go NaN so the remaining budget never
+// reached zero, and the uniform loop had no check at all and quietly ran
+// zero rounds.
+func TestBadCostRejected(t *testing.T) {
+	ds := smallDataset(t, 94)
+	ce, _ := ds.Split()
+	ctx := context.Background()
+	for _, price := range []float64{0, -1, math.NaN()} {
+		cfg := baseConfig(ds)
+		cfg.Budget = 10
+		cfg.Cost = func(w crowd.Worker) float64 {
+			if w.ID == ce[0].ID {
+				return price
+			}
+			return 1
+		}
+		if res, err := Run(ctx, ds, cfg); err == nil {
+			t.Errorf("Run accepted price %v (%d rounds, spent %v)", price, len(res.Rounds), res.BudgetSpent)
+		}
+		if res, err := RunCostAware(ctx, ds, cfg); err == nil {
+			t.Errorf("RunCostAware accepted price %v (spent %v, overspent %v)", price, res.BudgetSpent, res.Overspent)
+		}
 	}
 }

@@ -391,10 +391,22 @@ type uniformPlan struct {
 	perPick float64
 }
 
+// checkCosts rejects a cost model that prices any expert's answer at
+// zero, below zero, or NaN: the plans divide the budget by these prices,
+// and a NaN one never lets the remaining budget reach zero.
+func checkCosts(cost func(w crowd.Worker) float64, ce crowd.Crowd) error {
+	for _, w := range ce {
+		if c := cost(w); !(c > 0) {
+			return fmt.Errorf("pipeline: worker %s costs %v per answer, need a positive price", w.ID, c)
+		}
+	}
+	return nil
+}
+
 // newUniformPlan builds the plan; warm, when non-nil, primes the
 // incremental selector's gain cache (a mismatched cache degrades to a
 // cold first scan, never to wrong picks).
-func newUniformPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) *uniformPlan {
+func newUniformPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (*uniformPlan, error) {
 	sel := cfg.Selector
 	var state *taskselect.SelectionState
 	switch v := sel.(type) {
@@ -410,13 +422,16 @@ func newUniformPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache)
 	}
 	perPick := float64(len(ce))
 	if cfg.Cost != nil {
+		if err := checkCosts(cfg.Cost, ce); err != nil {
+			return nil, err
+		}
 		var per float64
 		for _, w := range ce {
 			per += cfg.Cost(w)
 		}
 		perPick = per
 	}
-	return &uniformPlan{k: cfg.K, ce: ce, sel: sel, state: state, perPick: perPick}
+	return &uniformPlan{k: cfg.K, ce: ce, sel: sel, state: state, perPick: perPick}, nil
 }
 
 func (u *uniformPlan) plan(ctx context.Context, p taskselect.Problem, remaining float64) ([]purchase, []taskselect.Candidate, error) {
@@ -500,12 +515,12 @@ func newCostPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (*
 	if cost == nil {
 		cost = func(crowd.Worker) float64 { return 1 }
 	}
+	if err := checkCosts(cost, ce); err != nil {
+		return nil, err
+	}
 	var minCost, meanCost float64
 	for i, w := range ce {
 		c := cost(w)
-		if c <= 0 {
-			return nil, errors.New("pipeline: non-positive worker cost")
-		}
 		if i == 0 || c < minCost {
 			minCost = c
 		}

@@ -48,9 +48,10 @@ type RoundMetrics struct {
 	// 0 without a rule.
 	FrozenFacts int `json:"frozen_facts"`
 	// Selector is the incremental selection engine's work during this
-	// round — CondEntropy-core evaluations (the unit BENCH_core.json
-	// measures) and task-cache hit/miss counts. Zero when the configured
-	// selector is not incremental.
+	// round — CondEntropy-core evaluations (the unit of the benchmark's
+	// taskselect.{uniform,costaware}.evals_per_round) and task-cache
+	// hit/miss counts. Zero when the configured selector is not
+	// incremental.
 	Selector taskselect.SelectStats `json:"selector"`
 }
 

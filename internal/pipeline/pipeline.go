@@ -232,7 +232,11 @@ func runUniform(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.C
 	}
 	// The plan is created here — never stored in cfg — so each run (and
 	// each tier, whose crowd differs) starts from its own state.
-	return runEngine(ctx, ds, cfg, ce, beliefs, newUniformPlan(cfg, ce, warm), st, spentBefore)
+	plan, err := newUniformPlan(cfg, ce, warm)
+	if err != nil {
+		return nil, err
+	}
+	return runEngine(ctx, ds, cfg, ce, beliefs, plan, st, spentBefore)
 }
 
 // initFor resolves the configured initialization strategy.

@@ -10,9 +10,9 @@ import (
 // Metrics is the labeling service's instrument bundle: HTTP traffic,
 // session round-lifecycle events, and — via its pipeline.MetricsSink
 // implementation — the checking loop's per-round figures, including the
-// incremental selectors' CondEntropy-eval counts (the same unit
-// BENCH_core.json measures). One bundle serves one Session; scrape it at
-// GET /metrics.
+// incremental selectors' CondEntropy-eval counts (the unit of the
+// benchmark's taskselect.{uniform,costaware}.evals_per_round). One bundle
+// serves one Session; scrape it at GET /metrics.
 type Metrics struct {
 	reg *obsv.Registry
 

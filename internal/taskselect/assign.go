@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"hcrowd/internal/belief"
 	"hcrowd/internal/crowd"
@@ -103,7 +105,7 @@ func condEntropyAssignCore(entropy float64, q []float64, pYes [][2]float64, pos 
 	// H(AS|O) = Σ_p q(p) Σ_i h(P(assign i answers yes | p)); the per-unit
 	// Bernoulli entropies are computed once up front.
 	sc := corePool.Get().(*coreScratch)
-	sc.hB = growPairs(sc.hB, n)
+	sc.hB = grow(sc.hB, n)
 	hB := sc.hB
 	for i := 0; i < n; i++ {
 		hB[i][0] = mathx.BernoulliEntropy(pYes[i][0])
@@ -170,10 +172,10 @@ func assignFamilyEntropyBatch(q []float64, pYes [][2]float64, pos []int) float64
 	n := len(pos)
 	sc := corePool.Get().(*coreScratch)
 	nFam := 1 << uint(n)
-	sc.pAs = growFloats(sc.pAs, nFam)
-	sc.ta = growFloats(sc.ta, nFam)
-	sc.tb = growFloats(sc.tb, nFam)
-	sc.v = growFloats(sc.v, 2)
+	sc.pAs = grow(sc.pAs, nFam)
+	sc.ta = grow(sc.ta, nFam)
+	sc.tb = grow(sc.tb, nFam)
+	sc.v = grow(sc.v, 2)
 	pAs, v := sc.pAs, sc.v[:2]
 	for i := range pAs {
 		pAs[i] = 0
@@ -237,17 +239,14 @@ func (g CostGreedy) SelectAssign(ctx context.Context, p Problem, budget float64)
 	if budget <= 0 {
 		return nil, nil
 	}
-	maxPer := g.MaxAssignsPerTask
-	if maxPer <= 0 {
-		maxPer = 12
-	}
+	maxPer := maxAssigns(g.MaxAssignsPerTask)
 	cost := g.Cost
 	if cost == nil {
 		cost = func(crowd.Worker) float64 { return 1 }
 	}
 	for _, w := range p.Experts {
-		if cost(w) <= 0 {
-			return nil, errors.New("taskselect: non-positive worker cost")
+		if !(cost(w) > 0) { // also rejects NaN
+			return nil, errors.New("taskselect: worker cost must be positive")
 		}
 	}
 	current := make(map[int][]Assign) // task -> chosen units
@@ -316,16 +315,29 @@ func (g CostGreedy) SelectAssign(ctx context.Context, p Problem, budget float64)
 			break
 		}
 	}
-	sort.Slice(picks, func(i, j int) bool {
-		if picks[i].Task != picks[j].Task {
-			return picks[i].Task < picks[j].Task
-		}
-		if picks[i].Fact != picks[j].Fact {
-			return picks[i].Fact < picks[j].Fact
-		}
-		return picks[i].Worker.ID < picks[j].Worker.ID
-	})
+	sortAssigns(picks)
 	return picks, nil
+}
+
+// maxAssigns resolves a MaxAssignsPerTask setting: <= 0 means 12.
+func maxAssigns(n int) int {
+	if n > 0 {
+		return n
+	}
+	return 12
+}
+
+// sortAssigns orders assignment units by (Task, Fact, Worker.ID).
+func sortAssigns(as []TaskAssign) {
+	slices.SortFunc(as, func(a, b TaskAssign) int {
+		if a.Task != b.Task {
+			return a.Task - b.Task
+		}
+		if a.Fact != b.Fact {
+			return a.Fact - b.Fact
+		}
+		return strings.Compare(a.Worker.ID, b.Worker.ID)
+	})
 }
 
 func hasAssign(as []Assign, workerID string, fact int) bool {

@@ -2,54 +2,28 @@ package taskselect
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 
 	"hcrowd/internal/belief"
 	"hcrowd/internal/crowd"
 )
 
 // AssignState is the incremental variant of CostGreedy: identical unit
-// purchases buy for buy (same values, same deterministic tie-break), but
-// the per-task round-start unit gains gain^∅(f, cr) = H(O_t) −
-// H(O_t|A_{cr,f}) are cached between SelectAssign calls and recomputed
-// only for tasks the caller has Invalidated — in the pipeline, the tasks
-// whose beliefs the previous round's answers updated. CostGreedy re-scans
-// every (task, fact, worker) unit on every buy iteration of every round;
-// the state pays that scan once per touched task and orders the buy loop
-// through a two-level argmax on gain-per-cost instead:
+// purchases buy for buy (same values, same deterministic tie-break), run
+// on the shared incremental engine with one gain column per expert, each
+// at that expert's answer cost. CostGreedy re-scans every (task, fact,
+// worker) unit on every buy iteration of every round; the engine pays
+// that scan once per invalidated task and orders the buys through its
+// two-level gain-per-cost argmax with lazy affordability (see the engine
+// for the caching, tie-break and coherence contract).
 //
-//   - Every task caches the first strict maximum of its unit-gain table
-//     (fact then worker ascending — the scan order of CostGreedy's inner
-//     loops), and each buy scans those per-task bests in task order with
-//     a strict comparison: exactly CostGreedy's first-strict-max, at
-//     O(N) per buy with no queue maintenance and no allocation.
-//   - Affordability is revalidated lazily: the chunk budget only shrinks
-//     within a call, so a cached best stays valid until its cost exceeds
-//     the remaining budget, at which point the task's row is re-scanned
-//     with the affordability filter (no new entropy evaluations — the
-//     gains are cached). CostGreedy filters the same units out of its
-//     scan, which is what keeps the argmax identical.
-//   - A buy only perturbs the gains of its own task (tasks are
-//     independent), so that task's remaining units are re-evaluated
-//     eagerly — exactly CostGreedy's recompute schedule, for the same
-//     ulp-level reasons as SelectionState's eager refresh — into a
-//     per-round live table; units already bought, frozen, or no longer
-//     affordable are marked dead.
-//   - The crowd-derived pieces (yes-probability table, per-worker costs)
-//     are computed once per crowd, and the belief-dependent projection is
-//     memoized per task until the task is invalidated.
-//
-// The caller owns cache coherence exactly as with SelectionState: after
-// mutating a task's belief (or its Frozen mask) it must call
-// Invalidate(task) before the next SelectAssign. Crowd or problem-shape
-// changes reset the state wholesale. Workers > 1 re-scans invalidated
-// tasks concurrently and fans the post-buy refresh out the same way; the
+// The assignment scorer computes the crowd's yes-probability table once
+// per crowd and memoizes the belief-dependent projections per task until
+// the task is invalidated. Workers > 1 re-scans invalidated tasks
+// concurrently and fans the post-buy refresh out the same way; the
 // projection memo is mutex-guarded and goroutines write disjoint row
 // slots, so the parallel refresh is bit-identical to the serial one. Not
 // safe for concurrent SelectAssign calls.
@@ -64,113 +38,9 @@ type AssignState struct {
 	// post-buy row refresh; <= 1 means serial.
 	Workers int
 
-	// Crowd-derived memos, reset when the crowd signature changes.
-	crowdSig string
-	ce       crowd.Crowd
-	costs    []float64    // cost per worker, crowd order
-	pYes     [][2]float64 // P(yes | truth) per worker
+	engine
 
-	tasks []*assignTaskCache
-
-	// dirtyList and touchedList are per-call scratch (task indices), kept
-	// on the state so steady-state rounds reuse their capacity.
-	dirtyList   []int
-	touchedList []int
-
-	// pending holds a cache restored via RestoreCache until the next sync
-	// adopts it.
-	pending *SelectionCache
-
-	stats engineStats
-}
-
-// assignTaskCache holds the belief-derived memos for one task.
-type assignTaskCache struct {
-	dirty     bool
-	entropy   float64     // H(O_t)
-	base      [][]float64 // round-start gain per [fact][worker]; NaN rows mark frozen facts
-	frozen    []bool      // the mask base was computed under
-	anyFrozen bool        // OR of frozen, the drift check's fast path
-
-	// proj memoizes the belief's projections per query-fact set; projMu
-	// guards it against the parallel refresh (duplicate computes are
-	// bitwise-identical, so last-write-wins is harmless).
-	projMu sync.Mutex
-	proj   map[string][]float64 //hclint:guardedby projMu
-
-	// bestFact/bestWorker/... cache the first strict maximum of base by
-	// gain-per-cost, ignoring affordability (revalidated at use);
-	// bestFact == -1 when the task has no live unit.
-	bestFact, bestWorker          int
-	bestGain, bestCost, bestRatio float64
-
-	// Buy-loop scratch, only meaningful while touched (reset at the start
-	// of the next SelectAssign): units holds this round's purchases in
-	// this task in buy order, live the refreshed unit gains given units
-	// with NaN on dead (bought, frozen, or unaffordable-forever) units.
-	touched                                   bool
-	units                                     []unitRef
-	live                                      [][]float64
-	liveBestFact, liveBestWorker              int
-	liveBestGain, liveBestCost, liveBestRatio float64
-}
-
-// resetRound clears the buy-loop scratch; live is re-filled when the
-// task is next touched.
-func (tc *assignTaskCache) resetRound() {
-	tc.touched = false
-	tc.units = tc.units[:0]
-}
-
-// rowBest returns the first strict maximum by gain-per-cost over a
-// [fact][worker] gain table, restricted to units costing at most limit.
-// NaN entries (frozen, bought, or expired) are skipped; fact == -1 when
-// nothing qualifies. Scanning facts then workers ascending with a strict
-// > is exactly CostGreedy's tie-break order.
-func rowBest(rows [][]float64, costs []float64, limit float64) (fact, worker int, gain, cost, ratio float64) {
-	fact, worker = -1, -1
-	ratio = math.Inf(-1)
-	for f, row := range rows {
-		for wi, g := range row {
-			if math.IsNaN(g) || costs[wi] > limit {
-				continue
-			}
-			if r := g / costs[wi]; r > ratio {
-				fact, worker, gain, cost, ratio = f, wi, g, costs[wi], r
-			}
-		}
-	}
-	return fact, worker, gain, cost, ratio
-}
-
-// curBest returns the task's current affordable argmax unit: the cached
-// best when it is still affordable, a filtered row re-scan otherwise.
-// The re-scan never overwrites the cached round-start best — the next
-// call starts from a fresh budget.
-func (tc *assignTaskCache) curBest(costs []float64, remaining float64) (fact, worker int, gain, cost, ratio float64) {
-	rows := tc.base
-	bf, bw := tc.bestFact, tc.bestWorker
-	bg, bc, br := tc.bestGain, tc.bestCost, tc.bestRatio
-	if tc.touched {
-		rows = tc.live
-		bf, bw = tc.liveBestFact, tc.liveBestWorker
-		bg, bc, br = tc.liveBestGain, tc.liveBestCost, tc.liveBestRatio
-	}
-	if bf < 0 {
-		return -1, -1, 0, 0, math.Inf(-1)
-	}
-	if bc <= remaining {
-		return bf, bw, bg, bc, br
-	}
-	return rowBest(rows, costs, remaining)
-}
-
-// unitRef is one answer unit in crowd-index form: worker indexes the
-// synced crowd. Keeping indices rather than Worker values makes the
-// dedup and memo lookups allocation-free.
-type unitRef struct {
-	fact   int
-	worker int
+	pYes [][2]float64 // P(yes | truth) per worker, rebuilt by resetCrowd
 }
 
 // NewAssignState returns an empty incremental assignment engine; the
@@ -186,96 +56,21 @@ func NewAssignState(cost func(w crowd.Worker) float64, maxAssignsPerTask, worker
 // schedule differs.
 func (s *AssignState) Name() string { return "CostGreedy" }
 
-// Invalidate marks tasks whose beliefs (or frozen masks) changed since
-// the last SelectAssign, forcing their cached unit gains to be
-// recomputed. Out-of-range indices are ignored.
-func (s *AssignState) Invalidate(tasks ...int) {
-	for _, t := range tasks {
-		if t >= 0 && t < len(s.tasks) && s.tasks[t] != nil {
-			s.tasks[t].dirty = true
+// columnCosts implements scorer: one column per worker, at its answer
+// cost under the configured cost model.
+func (s *AssignState) columnCosts(ce crowd.Crowd) []float64 {
+	costs := make([]float64, len(ce))
+	for i, w := range ce {
+		costs[i] = 1
+		if s.Cost != nil {
+			costs[i] = s.Cost(w)
 		}
 	}
+	return costs
 }
 
-// InvalidateAll drops every cached unit gain (keeping the crowd memos).
-func (s *AssignState) InvalidateAll() {
-	for _, tc := range s.tasks {
-		if tc != nil {
-			tc.dirty = true
-		}
-	}
-}
-
-// Admit grows the task table to total tasks, appending cold cache slots
-// for the newly admitted tasks while keeping every existing task's cached
-// unit gains and the crowd memos — the next sync slab-fills only the new
-// slots instead of resetting wholesale. A state that has not synced yet
-// is left untouched: its first sync builds the table at the grown size
-// anyway. total at or below the current size is a no-op.
-func (s *AssignState) Admit(total int) {
-	if len(s.tasks) == 0 || total <= len(s.tasks) {
-		return
-	}
-	s.tasks = append(s.tasks, make([]*assignTaskCache, total-len(s.tasks))...)
-}
-
-// costOf applies the configured cost model.
-func (s *AssignState) costOf(w crowd.Worker) float64 {
-	if s.Cost != nil {
-		return s.Cost(w)
-	}
-	return 1
-}
-
-// maxPer resolves the per-task assignment cap.
-func (s *AssignState) maxPer() int {
-	if s.MaxAssignsPerTask > 0 {
-		return s.MaxAssignsPerTask
-	}
-	return 12
-}
-
-// sync aligns the cache with the problem: a crowd or shape change resets
-// everything (adopting a pending restored cache when it matches), and a
-// frozen-mask drift on a clean task dirties it.
-func (s *AssignState) sync(p Problem) {
-	if !crowdEqual(s.ce, p.Experts) || len(p.Beliefs) != len(s.tasks) {
-		s.crowdSig = crowdSignature(p.Experts)
-		s.ce = append(crowd.Crowd(nil), p.Experts...)
-		s.pYes = asymYesTable(p.Experts)
-		s.costs = make([]float64, len(p.Experts))
-		for i, w := range p.Experts {
-			s.costs[i] = s.costOf(w)
-		}
-		s.tasks = make([]*assignTaskCache, len(p.Beliefs))
-		s.adoptPending(p)
-	}
-	s.pending = nil
-	// Batch-allocate caches for tasks still missing one (all of them after
-	// a reset, none in steady state) instead of one heap object per task.
-	missing := 0
-	for _, tc := range s.tasks {
-		if tc == nil {
-			missing++
-		}
-	}
-	if missing > 0 {
-		slab := make([]assignTaskCache, missing)
-		i := 0
-		for t := range s.tasks {
-			if s.tasks[t] == nil {
-				slab[i].dirty = true
-				s.tasks[t] = &slab[i]
-				i++
-			}
-		}
-	}
-	for t, tc := range s.tasks {
-		if !tc.dirty && !frozenEqual(tc.frozen, tc.anyFrozen, p, t) {
-			tc.dirty = true
-		}
-	}
-}
+// resetCrowd implements scorer.
+func (s *AssignState) resetCrowd(ce crowd.Crowd) { s.pYes = asymYesTable(ce) }
 
 // memoProj returns the memoized projection of tc's belief onto the
 // sorted fact list, computing and storing it on miss. The varint key
@@ -283,7 +78,7 @@ func (s *AssignState) sync(p Problem) {
 // encoding collided for indices ≥ 256. Safe under the parallel refresh:
 // lookups and stores hold projMu, the computation runs outside it, and a
 // lost race recomputes a bitwise-identical vector.
-func (s *AssignState) memoProj(sc *evalScratch, tc *assignTaskCache, d *belief.Dist, facts []int) []float64 {
+func (s *AssignState) memoProj(sc *evalScratch, tc *taskCache, d *belief.Dist, facts []int) []float64 {
 	sc.key = projKey(sc.key[:0], facts)
 	tc.projMu.Lock()
 	q, ok := tc.proj[string(sc.key)]
@@ -296,20 +91,21 @@ func (s *AssignState) memoProj(sc *evalScratch, tc *assignTaskCache, d *belief.D
 	if prev, ok := tc.proj[string(sc.key)]; ok {
 		q = prev
 	} else {
+		if tc.proj == nil {
+			tc.proj = make(map[string][]float64)
+		}
 		tc.proj[string(sc.key)] = q
 	}
 	tc.projMu.Unlock()
 	return q
 }
 
-// condEntropy evaluates H(O_t | units) through the memos, using sc for
-// the per-unit tables. It matches CondEntropyAssign bitwise for units
-// listed in the same order: the core runs the identical arithmetic, only
-// the setup (projection, per-worker yes probabilities) comes from cache.
-func (s *AssignState) condEntropy(sc *evalScratch, tc *assignTaskCache, d *belief.Dist, units []unitRef) (float64, error) {
-	if len(units) == 0 {
-		return tc.entropy, nil
-	}
+// condEntropy implements scorer: H(O_t | units) through the memos, using
+// sc for the per-unit tables. It matches CondEntropyAssign bitwise for
+// units listed in the same order: the core runs the identical arithmetic,
+// only the setup (projection, per-worker yes probabilities) comes from
+// cache.
+func (s *AssignState) condEntropy(sc *evalScratch, tc *taskCache, d *belief.Dist, units []unitRef) (float64, error) {
 	if len(units) > maxFamilyBits {
 		return 0, fmt.Errorf("%w: %d answer variables", ErrTooLarge, len(units))
 	}
@@ -318,106 +114,59 @@ func (s *AssignState) condEntropy(sc *evalScratch, tc *assignTaskCache, d *belie
 	// CondEntropyAssign derives, so the projection patterns line up.
 	facts := sc.facts[:0]
 	for _, u := range units {
-		dup := false
-		for _, f := range facts {
-			if f == u.fact {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(facts, u.fact) {
 			facts = append(facts, u.fact)
 		}
 	}
 	sort.Ints(facts)
 	sc.facts = facts
 	q := s.memoProj(sc, tc, d, facts)
-	sc.pyes = growPairs(sc.pyes, len(units))
-	sc.pos = growInts(sc.pos, len(units))
+	sc.pyes = grow(sc.pyes, len(units))
+	sc.pos = grow(sc.pos, len(units))
 	for i, u := range units {
-		sc.pyes[i] = s.pYes[u.worker]
-		for j, f := range facts {
-			if f == u.fact {
-				sc.pos[i] = j
-				break
-			}
-		}
+		sc.pyes[i] = s.pYes[u.col]
+		sc.pos[i] = slices.Index(facts, u.fact)
 	}
 	return condEntropyAssignCore(tc.entropy, q, sc.pyes, sc.pos), nil
 }
 
-// rescan rebuilds the round-start unit-gain cache of task t.
-func (s *AssignState) rescan(ctx context.Context, p Problem, t int) error {
-	tc := s.tasks[t]
-	d := p.Beliefs[t]
+// scan implements scorer, evaluating every unfrozen (fact, worker) unit
+// against the empty selection.
+func (s *AssignState) scan(_ context.Context, tc *taskCache, d *belief.Dist) error {
 	sc := getScratch()
 	defer putScratch(sc)
-	tc.entropy = d.Entropy()
-	// The re-scan partitions tasks per worker, so tc is effectively
-	// owned here — but the reset still takes projMu (uncontended, once
-	// per task per round) so the guardedby invariant holds on every
-	// path rather than by phase-ordering argument.
+	// The re-scan partitions tasks per worker, so tc is effectively owned
+	// here — but the reset still takes projMu (uncontended, once per task
+	// per round) so the guardedby invariant holds on every path rather
+	// than by phase-ordering argument.
 	tc.projMu.Lock()
-	if tc.proj == nil {
-		tc.proj = make(map[string][]float64)
-	} else {
-		clear(tc.proj) // stale belief's projections; keep the buckets
-	}
+	clear(tc.proj) // stale belief's projections; keep the buckets
 	tc.projMu.Unlock()
-	m, w := d.NumFacts(), len(s.ce)
-	tc.frozen = growBools(tc.frozen, m)
-	tc.anyFrozen = false
-	tc.base = growRows(tc.base, m, w)
-	for f := 0; f < m; f++ {
-		row := tc.base[f]
-		tc.frozen[f] = p.frozen(t, f)
+	w := len(s.ce)
+	for f := 0; f < d.NumFacts(); f++ {
 		if tc.frozen[f] {
-			tc.anyFrozen = true
-			for wi := range row {
-				row[wi] = math.NaN()
-			}
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		for wi := 0; wi < w; wi++ {
-			sc.units = append(sc.units[:0], unitRef{fact: f, worker: wi})
+			sc.units = append(sc.units[:0], unitRef{fact: f, col: wi})
 			h, err := s.condEntropy(sc, tc, d, sc.units)
 			if err != nil {
 				return err
 			}
-			row[wi] = tc.entropy - h
+			tc.gains[f*w+wi] = tc.entropy - h
 		}
 	}
-	tc.bestFact, tc.bestWorker, tc.bestGain, tc.bestCost, tc.bestRatio =
-		rowBest(tc.base, s.costs, math.Inf(1))
-	tc.dirty = false
 	return nil
 }
 
-// hasUnit reports whether the unit list already contains (worker, fact).
-func hasUnit(units []unitRef, worker, fact int) bool {
-	for _, u := range units {
-		if u.worker == worker && u.fact == fact {
-			return true
-		}
-	}
-	return false
-}
-
-// refill re-evaluates task tc's remaining units against the enlarged
-// purchase set (conditional entropy nh) — exactly CostGreedy's recompute
-// schedule after a buy — marking bought, frozen, and no-longer-affordable
-// units dead (the chunk budget only shrinks within a call, so they can
-// never come back), then refreshes the task's cached argmax. Workers > 1
-// fans the per-fact evaluations out with pooled scratch and disjoint row
-// writes; the reduction runs serially, so the result matches the serial
-// sweep bitwise.
-func (s *AssignState) refill(ctx context.Context, tc *assignTaskCache, d *belief.Dist, nh, remaining float64) error {
-	m, w := d.NumFacts(), len(s.ce)
-	err := scanAll(ctx, m, s.Workers, func(f int) error {
-		row := tc.live[f]
+// refill implements scorer. Units bought, frozen, or no longer affordable
+// are dead (the budget only shrinks within a call, so they can never come
+// back). Workers > 1 fans the per-fact evaluations out with pooled
+// scratch and disjoint row writes.
+func (s *AssignState) refill(ctx context.Context, tc *taskCache, d *belief.Dist, nh, remaining float64) error {
+	w := len(s.ce)
+	return scanAll(ctx, d.NumFacts(), s.Workers, func(f int) error {
+		row := tc.live[f*w : (f+1)*w]
 		if tc.frozen[f] {
 			for wi := range row {
 				row[wi] = math.NaN()
@@ -426,13 +175,13 @@ func (s *AssignState) refill(ctx context.Context, tc *assignTaskCache, d *belief
 		}
 		sc := getScratch()
 		defer putScratch(sc)
-		for wi := 0; wi < w; wi++ {
-			if s.costs[wi] > remaining || hasUnit(tc.units, wi, f) {
+		for wi := range row {
+			if s.costs[wi] > remaining || tc.chosen[f*w+wi] {
 				row[wi] = math.NaN()
 				continue
 			}
 			sc.units = append(sc.units[:0], tc.units...)
-			sc.units = append(sc.units, unitRef{fact: f, worker: wi})
+			sc.units = append(sc.units, unitRef{fact: f, col: wi})
 			th, err := s.condEntropy(sc, tc, d, sc.units)
 			if err != nil {
 				return err
@@ -441,12 +190,6 @@ func (s *AssignState) refill(ctx context.Context, tc *assignTaskCache, d *belief
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	tc.liveBestFact, tc.liveBestWorker, tc.liveBestGain, tc.liveBestCost, tc.liveBestRatio =
-		rowBest(tc.live, s.costs, math.Inf(1))
-	return nil
 }
 
 // SelectAssign implements AssignSelector. See the type comment for the
@@ -459,103 +202,14 @@ func (s *AssignState) SelectAssign(ctx context.Context, p Problem, budget float6
 	if budget <= 0 {
 		return nil, nil
 	}
-	for _, w := range p.Experts {
-		if s.costOf(w) <= 0 {
-			return nil, errors.New("taskselect: non-positive worker cost")
-		}
+	units, err := s.pick(ctx, p, s, s.Workers, budget, maxAssigns(s.MaxAssignsPerTask))
+	if err != nil || len(units) == 0 {
+		return nil, err
 	}
-	maxPer := s.maxPer()
-	// Clear the previous round's buy-loop scratch up front (error-path
-	// aborts must not leak) and before sync, which may swap the table.
-	for _, t := range s.touchedList {
-		if t < len(s.tasks) && s.tasks[t] != nil {
-			s.tasks[t].resetRound()
-		}
+	picks := make([]TaskAssign, len(units))
+	for i, u := range units {
+		picks[i] = TaskAssign{Task: u.task, Fact: u.fact, Worker: s.ce[u.col]}
 	}
-	s.touchedList = s.touchedList[:0]
-	s.sync(p)
-	s.stats.selects.Add(1)
-
-	// Parallel invalidation re-scan: only dirty tasks pay the O(m·|CE|)
-	// unit-gain sweep.
-	s.dirtyList = s.dirtyList[:0]
-	for t, tc := range s.tasks {
-		if tc.dirty {
-			s.dirtyList = append(s.dirtyList, t)
-		}
-	}
-	s.stats.rescans.Add(int64(len(s.dirtyList)))
-	s.stats.reused.Add(int64(len(s.tasks) - len(s.dirtyList)))
-	if len(s.dirtyList) > 0 {
-		err := scanAll(ctx, len(s.dirtyList), s.Workers, func(i int) error {
-			return s.rescan(ctx, p, s.dirtyList[i])
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	sc := getScratch()
-	defer putScratch(sc)
-	var picks []TaskAssign
-	remaining := budget
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Two-level argmax: per-task cached bests with lazy affordability,
-		// scanned in task order with a strict > — CostGreedy's exact
-		// first-strict-max over (task, fact, worker).
-		bt, bf, bw := -1, -1, -1
-		var bg, bc float64
-		br := math.Inf(-1)
-		for t, tc := range s.tasks {
-			if tc.touched && len(tc.units) >= maxPer {
-				continue
-			}
-			f, wi, g, c, r := tc.curBest(s.costs, remaining)
-			if f >= 0 && r > br {
-				bt, bf, bw, bg, bc, br = t, f, wi, g, c, r
-			}
-		}
-		if bt < 0 || bg <= gainEps {
-			// No affordable unit improves the objective: CostGreedy stops on
-			// the same scan result.
-			break
-		}
-		tc, d := s.tasks[bt], p.Beliefs[bt]
-		picks = append(picks, TaskAssign{Task: bt, Fact: bf, Worker: s.ce[bw]})
-		if !tc.touched {
-			tc.touched = true
-			s.touchedList = append(s.touchedList, bt)
-			tc.live = growRows(tc.live, d.NumFacts(), len(s.ce))
-		}
-		tc.units = append(tc.units, unitRef{fact: bf, worker: bw})
-		remaining -= bc
-		if remaining <= 0 {
-			break
-		}
-		if len(tc.units) >= maxPer {
-			continue // the task is out of the pool; no refresh needed
-		}
-		// The enlarged selection's conditional entropy becomes the new
-		// gain baseline for task bt.
-		nh, err := s.condEntropy(sc, tc, d, tc.units)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.refill(ctx, tc, d, nh, remaining); err != nil {
-			return nil, err
-		}
-	}
-	slices.SortFunc(picks, func(a, b TaskAssign) int {
-		if a.Task != b.Task {
-			return a.Task - b.Task
-		}
-		if a.Fact != b.Fact {
-			return a.Fact - b.Fact
-		}
-		return strings.Compare(a.Worker.ID, b.Worker.ID)
-	})
+	sortAssigns(picks)
 	return picks, nil
 }

@@ -3,6 +3,7 @@ package taskselect
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"hcrowd/internal/crowd"
@@ -67,15 +68,20 @@ func TestAssignStateMatchesCostGreedyAcrossRounds(t *testing.T) {
 		cost    func(crowd.Worker) float64
 		workers int
 		frozen  bool
+		problem func(*testing.T) Problem // nil: randomProblem over assignExperts
 	}{
-		{"unit-cost-serial", nil, 0, false},
-		{"ablation-cost-parallel", ablationCost, 4, false},
-		{"with-freezing", ablationCost, 2, true},
+		{"unit-cost-serial", nil, 0, false, nil},
+		{"ablation-cost-parallel", ablationCost, 4, false, nil},
+		{"with-freezing", ablationCost, 2, true, nil},
+		{"ties", nil, 2, false, func(t *testing.T) Problem { return tiedProblem(t, experts(0.9, 0.9, 0.9)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ce := assignExperts()
 			p := randomProblem(t, 3, 5, ce)
+			if tc.problem != nil {
+				p = tc.problem(t)
+			}
 			if tc.frozen {
 				p.Frozen = make([][]bool, len(p.Beliefs))
 				for i, d := range p.Beliefs {
@@ -229,5 +235,24 @@ func TestAssignStateNonPositiveCost(t *testing.T) {
 	bad := func(crowd.Worker) float64 { return 0 }
 	if _, err := NewAssignState(bad, 0, 0).SelectAssign(context.Background(), p, 5); err == nil {
 		t.Fatal("zero-cost worker accepted")
+	}
+}
+
+// TestNaNCostRejected is the regression test for price validation: a NaN
+// price passed the old `c <= 0` checks, so both the reference CostGreedy
+// and the incremental engine must reject it like a non-positive one.
+func TestNaNCostRejected(t *testing.T) {
+	p := randomProblem(t, 1, 2, assignExperts())
+	nan := func(w crowd.Worker) float64 {
+		if w.ID == "B" {
+			return math.NaN()
+		}
+		return 1
+	}
+	if _, err := (CostGreedy{Cost: nan}).SelectAssign(context.Background(), p, 5); err == nil {
+		t.Error("CostGreedy accepted a NaN-cost worker")
+	}
+	if _, err := NewAssignState(nan, 0, 0).SelectAssign(context.Background(), p, 5); err == nil {
+		t.Error("AssignState accepted a NaN-cost worker")
 	}
 }

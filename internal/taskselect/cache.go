@@ -83,35 +83,7 @@ func (c *SelectionCache) Validate() error {
 // serialization (e.g. into a pipeline checkpoint). Tasks invalidated
 // since the last Select export as dirty placeholders. Returns nil when
 // the state has never synced to a problem.
-func (s *SelectionState) ExportCache() *SelectionCache {
-	if len(s.tasks) == 0 {
-		return nil
-	}
-	c := &SelectionCache{
-		Version:  CacheVersion,
-		Kind:     CacheKindGreedy,
-		CrowdSig: s.crowdSig,
-		Tasks:    make([]TaskGainCache, len(s.tasks)),
-	}
-	for t, tc := range s.tasks {
-		if tc == nil || tc.dirty {
-			c.Tasks[t] = TaskGainCache{Dirty: true}
-			continue
-		}
-		gains := make([]float64, len(tc.gains))
-		for f, g := range tc.gains {
-			if !math.IsNaN(g) {
-				gains[f] = g
-			}
-		}
-		c.Tasks[t] = TaskGainCache{
-			Entropy: tc.entropy,
-			Gains:   gains,
-			Frozen:  append([]bool{}, tc.frozen...),
-		}
-	}
-	return c
-}
+func (s *SelectionState) ExportCache() *SelectionCache { return s.exportCache(CacheKindGreedy) }
 
 // RestoreCache primes the state with a cache exported by ExportCache.
 // Adoption is deferred to the next Select: the crowd memos are
@@ -119,54 +91,128 @@ func (s *SelectionState) ExportCache() *SelectionCache {
 // cache's crowd signature and shape match the live problem — otherwise
 // the tasks re-scan cold. Restoring a cache of the wrong kind errors.
 func (s *SelectionState) RestoreCache(c *SelectionCache) error {
+	return s.restoreCache(c, CacheKindGreedy)
+}
+
+// ExportCache snapshots the assignment engine's per-task unit-gain
+// caches; see (*SelectionState).ExportCache for the contract.
+func (s *AssignState) ExportCache() *SelectionCache { return s.exportCache(CacheKindAssign) }
+
+// RestoreCache primes the assignment engine with a cache exported by its
+// ExportCache; see (*SelectionState).RestoreCache for the contract.
+func (s *AssignState) RestoreCache(c *SelectionCache) error {
+	return s.restoreCache(c, CacheKindAssign)
+}
+
+// exportCache snapshots the engine's round-start gain rows as a cache of
+// the given kind: a flat per-fact table for CacheKindGreedy (one column),
+// per-fact rows of columns for CacheKindAssign.
+func (e *engine) exportCache(kind string) *SelectionCache {
+	if len(e.tasks) == 0 {
+		return nil
+	}
+	c := &SelectionCache{
+		Version:  CacheVersion,
+		Kind:     kind,
+		CrowdSig: e.crowdSig,
+		Tasks:    make([]TaskGainCache, len(e.tasks)),
+	}
+	cols := len(e.costs)
+	for t, tc := range e.tasks {
+		if tc == nil || tc.dirty {
+			c.Tasks[t] = TaskGainCache{Dirty: true}
+			continue
+		}
+		gains := make([]float64, len(tc.gains))
+		for i, g := range tc.gains {
+			if !math.IsNaN(g) {
+				gains[i] = g
+			}
+		}
+		tg := TaskGainCache{Entropy: tc.entropy, Frozen: append([]bool{}, tc.frozen...)}
+		if kind == CacheKindGreedy {
+			tg.Gains = gains
+		} else {
+			tg.UnitGains = make([][]float64, len(gains)/cols)
+			for f := range tg.UnitGains {
+				tg.UnitGains[f] = gains[f*cols : (f+1)*cols : (f+1)*cols]
+			}
+		}
+		c.Tasks[t] = tg
+	}
+	return c
+}
+
+// restoreCache validates c and holds it for adoption by the next sync;
+// a cache of another kind than want errors.
+func (e *engine) restoreCache(c *SelectionCache, want string) error {
 	if c == nil {
 		return nil
 	}
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if c.Kind != CacheKindGreedy {
-		return fmt.Errorf("taskselect: selection-cache kind %q, want %q", c.Kind, CacheKindGreedy)
+	if c.Kind != want {
+		return fmt.Errorf("taskselect: selection-cache kind %q, want %q", c.Kind, want)
 	}
-	s.pending = c
+	e.pending = c
 	return nil
 }
 
 // adoptPending installs the pending cache's clean tasks into the freshly
 // reset task table; called from sync after a crowd/shape reset.
-func (s *SelectionState) adoptPending(p Problem) {
-	pc := s.pending
-	if pc == nil || pc.CrowdSig != s.crowdSig || len(pc.Tasks) != len(p.Beliefs) {
+func (e *engine) adoptPending(p Problem) {
+	pc := e.pending
+	if pc == nil || pc.CrowdSig != e.crowdSig || len(pc.Tasks) != len(p.Beliefs) {
 		return
 	}
 	for t := range pc.Tasks {
 		tg := &pc.Tasks[t]
 		m := p.Beliefs[t].NumFacts()
-		if tg.Dirty || len(tg.Gains) != m {
+		gains, ok := tg.gainRow(pc.Kind, m, len(e.costs))
+		if tg.Dirty || !ok {
 			continue
 		}
 		tc := &taskCache{
 			entropy:   tg.Entropy,
-			gains:     restoreGainRow(tg.Gains, tg.Frozen),
+			gains:     gains,
 			frozen:    restoreFrozen(tg.Frozen, m),
 			anyFrozen: anyTrue(tg.Frozen),
 		}
-		tc.bestFact, tc.bestGain = gainRowBest(tc.gains)
-		s.tasks[t] = tc
+		tc.best = rowBest(tc.gains, e.costs, math.Inf(1))
+		e.tasks[t] = tc
 	}
 }
 
-// restoreGainRow rebuilds an in-memory gain row from its serialized
-// form, re-marking frozen entries with NaN.
-func restoreGainRow(gains []float64, frozen []bool) []float64 {
-	out := make([]float64, len(gains))
-	copy(out, gains)
-	for f := range out {
-		if f < len(frozen) && frozen[f] {
-			out[f] = math.NaN()
+// gainRow rebuilds a task's in-memory fact × column gain row from its
+// serialized table, re-marking frozen facts with NaN; ok is false when
+// the table does not have m facts of cols columns.
+func (tg *TaskGainCache) gainRow(kind string, m, cols int) (row []float64, ok bool) {
+	if kind == CacheKindGreedy {
+		if len(tg.Gains) != m {
+			return nil, false
+		}
+		row = append(row, tg.Gains...)
+	} else {
+		if len(tg.UnitGains) != m {
+			return nil, false
+		}
+		row = make([]float64, 0, m*cols)
+		for _, r := range tg.UnitGains {
+			if len(r) != cols {
+				return nil, false
+			}
+			row = append(row, r...)
 		}
 	}
-	return out
+	for f := 0; f < m && f < len(tg.Frozen); f++ {
+		if tg.Frozen[f] {
+			for i := f * cols; i < (f+1)*cols; i++ {
+				row[i] = math.NaN()
+			}
+		}
+	}
+	return row, true
 }
 
 // restoreFrozen clones a serialized frozen mask, padding to m facts (an
@@ -185,104 +231,6 @@ func anyTrue(mask []bool) bool {
 		}
 	}
 	return false
-}
-
-// ExportCache snapshots the assignment engine's per-task unit-gain
-// caches; see (*SelectionState).ExportCache for the contract.
-func (s *AssignState) ExportCache() *SelectionCache {
-	if len(s.tasks) == 0 {
-		return nil
-	}
-	c := &SelectionCache{
-		Version:  CacheVersion,
-		Kind:     CacheKindAssign,
-		CrowdSig: s.crowdSig,
-		Tasks:    make([]TaskGainCache, len(s.tasks)),
-	}
-	for t, tc := range s.tasks {
-		if tc == nil || tc.dirty {
-			c.Tasks[t] = TaskGainCache{Dirty: true}
-			continue
-		}
-		ug := make([][]float64, len(tc.base))
-		for f, row := range tc.base {
-			r := make([]float64, len(row))
-			for wi, g := range row {
-				if !math.IsNaN(g) {
-					r[wi] = g
-				}
-			}
-			ug[f] = r
-		}
-		c.Tasks[t] = TaskGainCache{
-			Entropy:   tc.entropy,
-			UnitGains: ug,
-			Frozen:    append([]bool{}, tc.frozen...),
-		}
-	}
-	return c
-}
-
-// RestoreCache primes the assignment engine with a cache exported by its
-// ExportCache; see (*SelectionState).RestoreCache for the contract.
-func (s *AssignState) RestoreCache(c *SelectionCache) error {
-	if c == nil {
-		return nil
-	}
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if c.Kind != CacheKindAssign {
-		return fmt.Errorf("taskselect: selection-cache kind %q, want %q", c.Kind, CacheKindAssign)
-	}
-	s.pending = c
-	return nil
-}
-
-// adoptPending installs the pending cache's clean tasks after a reset;
-// the assignment-engine counterpart of (*SelectionState).adoptPending.
-func (s *AssignState) adoptPending(p Problem) {
-	pc := s.pending
-	if pc == nil || pc.CrowdSig != s.crowdSig || len(pc.Tasks) != len(p.Beliefs) {
-		return
-	}
-	for t := range pc.Tasks {
-		tg := &pc.Tasks[t]
-		m := p.Beliefs[t].NumFacts()
-		if tg.Dirty || len(tg.UnitGains) != m {
-			continue
-		}
-		base := make([][]float64, m)
-		ok := true
-		for f, row := range tg.UnitGains {
-			if len(row) != len(s.ce) {
-				ok = false
-				break
-			}
-			frozenF := f < len(tg.Frozen) && tg.Frozen[f]
-			r := make([]float64, len(row))
-			copy(r, row)
-			if frozenF {
-				for wi := range r {
-					r[wi] = math.NaN()
-				}
-			}
-			base[f] = r
-		}
-		if !ok {
-			continue
-		}
-		tc := &assignTaskCache{
-			entropy:   tg.Entropy,
-			base:      base,
-			frozen:    restoreFrozen(tg.Frozen, m),
-			anyFrozen: anyTrue(tg.Frozen),
-			proj:      make(map[string][]float64),
-		}
-		tc.bestFact, tc.bestWorker, tc.bestGain, tc.bestCost, tc.bestRatio =
-			rowBest(tc.base, s.costs, math.Inf(1))
-		s.tasks[t] = tc
-	}
 }
 
 // compile-time interface checks for the incremental engines.

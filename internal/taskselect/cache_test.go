@@ -1,9 +1,15 @@
 package taskselect
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"hcrowd/internal/crowd"
+	"hcrowd/internal/rngutil"
 )
 
 // warmSelectionState runs a state to steady state and exports its cache.
@@ -217,4 +223,92 @@ func TestSelectionCacheValidate(t *testing.T) {
 	if s.ExportCache() != nil {
 		t.Error("never-synced state exported a cache")
 	}
+}
+
+// goldenProblem is the fixed problem behind the cache goldens: five
+// tasks of mixed width with fact 0 of task 1 frozen from the start.
+func goldenProblem(t *testing.T, ce crowd.Crowd) Problem {
+	t.Helper()
+	p := randomProblem(t, 13, 5, ce)
+	p.Frozen = make([][]bool, len(p.Beliefs))
+	for i, d := range p.Beliefs {
+		p.Frozen[i] = make([]bool, d.NumFacts())
+	}
+	p.Frozen[1][0] = true
+	return p
+}
+
+// compareGolden fails unless got matches testdata/name byte for byte.
+func compareGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(want), got) {
+		t.Errorf("%s drifted from its golden:\n got %s\nwant %s", name, got, bytes.TrimSpace(want))
+	}
+}
+
+// TestSelectionCacheGolden pins the serialized selection cache, which
+// every checkpoint record journals, byte for byte. Each engine runs a few
+// select → update → invalidate rounds on a fixed problem with one frozen
+// fact, scans once more, and leaves one task dirty before exporting.
+func TestSelectionCacheGolden(t *testing.T) {
+	ctx := context.Background()
+	t.Run(CacheKindGreedy, func(t *testing.T) {
+		ce := experts(0.85, 0.95)
+		p := goldenProblem(t, ce)
+		state := NewSelectionState(0)
+		rng := rngutil.New(31)
+		for round := 0; round < 3; round++ {
+			picks, err := state.Select(ctx, p, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range picks {
+				truth := func(f int) bool { return (c.Task+f)%2 == 0 }
+				if err := p.Beliefs[c.Task].Update(crowd.SimulateAnswerFamily(rng, ce, []int{c.Fact}, truth)); err != nil {
+					t.Fatal(err)
+				}
+				state.Invalidate(c.Task)
+			}
+		}
+		if _, err := state.Select(ctx, p, 3); err != nil {
+			t.Fatal(err)
+		}
+		state.Invalidate(2)
+		raw, err := json.Marshal(state.ExportCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareGolden(t, "selection_cache_greedy.json", raw)
+	})
+	t.Run(CacheKindAssign, func(t *testing.T) {
+		p := goldenProblem(t, assignExperts())
+		state := NewAssignState(ablationCost, 0, 0)
+		rng := rngutil.New(31)
+		for round := 0; round < 3; round++ {
+			units, err := state.SelectAssign(ctx, p, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range units {
+				truth := func(f int) bool { return (u.Task+f)%2 == 0 }
+				if err := p.Beliefs[u.Task].Update(crowd.SimulateAnswerFamily(rng, crowd.Crowd{u.Worker}, []int{u.Fact}, truth)); err != nil {
+					t.Fatal(err)
+				}
+				state.Invalidate(u.Task)
+			}
+		}
+		if _, err := state.SelectAssign(ctx, p, 5); err != nil {
+			t.Fatal(err)
+		}
+		state.Invalidate(2)
+		raw, err := json.Marshal(state.ExportCache())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareGolden(t, "selection_cache_assign.json", raw)
+	})
 }

@@ -276,10 +276,10 @@ func symFamilyEntropyBatch(q []float64, tables [][]float64, s, w int) float64 {
 	sc := corePool.Get().(*coreScratch)
 	nFam := 1 << uint(s*w)
 	nPat := 1 << uint(s)
-	sc.pAs = growFloats(sc.pAs, nFam)
-	sc.ta = growFloats(sc.ta, nFam)
-	sc.tb = growFloats(sc.tb, nFam)
-	sc.v = growFloats(sc.v, nPat)
+	sc.pAs = grow(sc.pAs, nFam)
+	sc.ta = grow(sc.ta, nFam)
+	sc.tb = grow(sc.tb, nFam)
+	sc.v = grow(sc.v, nPat)
 	pAs, v := sc.pAs, sc.v
 	for i := range pAs {
 		pAs[i] = 0
@@ -349,7 +349,7 @@ func condEntropyAsymCore(entropy float64, q []float64, pYes [][2]float64, s, w i
 	// H(AS|O) = Σ_p q(p) Σ_cr Σ_j h(P(yes | p_j)); the per-(worker, truth)
 	// Bernoulli entropies are computed once up front.
 	sc := corePool.Get().(*coreScratch)
-	sc.hB = growPairs(sc.hB, w)
+	sc.hB = grow(sc.hB, w)
 	hB := sc.hB
 	for cr := 0; cr < w; cr++ {
 		hB[cr][0] = mathx.BernoulliEntropy(pYes[cr][0])
@@ -422,10 +422,10 @@ func asymFamilyEntropyBatch(q []float64, pYes [][2]float64, s, w int) float64 {
 	sc := corePool.Get().(*coreScratch)
 	nFam := 1 << uint(s*w)
 	nPat := 1 << uint(s)
-	sc.pAs = growFloats(sc.pAs, nFam)
-	sc.ta = growFloats(sc.ta, nFam)
-	sc.tb = growFloats(sc.tb, nFam)
-	sc.v = growFloats(sc.v, nPat)
+	sc.pAs = grow(sc.pAs, nFam)
+	sc.ta = grow(sc.ta, nFam)
+	sc.tb = grow(sc.tb, nFam)
+	sc.v = grow(sc.v, nPat)
 	pAs, v := sc.pAs, sc.v
 	for i := range pAs {
 		pAs[i] = 0

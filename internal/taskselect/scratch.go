@@ -27,53 +27,13 @@ var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 func getScratch() *evalScratch  { return scratchPool.Get().(*evalScratch) }
 func putScratch(s *evalScratch) { scratchPool.Put(s) }
 
-// growFloats returns s with length exactly n, reusing its backing array
-// when the capacity allows. Contents are unspecified; callers overwrite.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s with length exactly n, reusing its backing array when
+// the capacity allows. Contents are unspecified; callers overwrite.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// growInts is growFloats for int slices.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// growBools is growFloats for bool slices.
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-// growPairs is growFloats for [2]float64 slices.
-func growPairs(s [][2]float64, n int) [][2]float64 {
-	if cap(s) < n {
-		return make([][2]float64, n)
-	}
-	return s[:n]
-}
-
-// growRows returns a [m][w]float64 table, reusing outer and inner
-// capacity when possible. Row contents are unspecified.
-func growRows(rows [][]float64, m, w int) [][]float64 {
-	if cap(rows) < m {
-		next := make([][]float64, m)
-		copy(next, rows)
-		rows = next
-	} else {
-		rows = rows[:m]
-	}
-	for f := range rows {
-		rows[f] = growFloats(rows[f], w)
-	}
-	return rows
 }
 
 // projectionInto computes the belief's marginal on the ordered fact list
@@ -81,7 +41,7 @@ func growRows(rows [][]float64, m, w int) [][]float64 {
 // in the same order as projection, so the two agree bitwise.
 func projectionInto(q []float64, d *belief.Dist, facts []int) []float64 {
 	s := len(facts)
-	q = growFloats(q, 1<<uint(s))
+	q = grow(q, 1<<uint(s))
 	for i := range q {
 		q[i] = 0
 	}

@@ -1,12 +1,10 @@
 package taskselect
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
-
-	"context"
 
 	"hcrowd/internal/belief"
 	"hcrowd/internal/crowd"
@@ -15,55 +13,32 @@ import (
 // SelectionState is the incremental variant of the Greedy selector. It
 // implements Selector with round-for-round identical picks (same values,
 // same deterministic tie-break) but amortizes the work of Algorithm 2
-// across the checking loop's rounds:
+// across the checking loop's rounds on the shared incremental engine: a
+// query is a unit whose gain row has one column of cost 1, so the
+// engine's gain-per-cost argmax is Greedy's gain argmax and a budget of k
+// buys exactly k picks. Only tasks the caller has Invalidated are
+// re-scanned (see the engine for the caching, tie-break and coherence
+// contract).
 //
-//   - The per-task round-start marginal gains gain^∅(f) = H(O_t) −
-//     H(O_t|AS^{{f}}) are cached between Select calls and recomputed only
-//     for tasks the caller has Invalidated (in the pipeline: the tasks
-//     whose beliefs the previous round's answers updated). A steady-state
-//     round with k picks therefore costs O(touched tasks), not O(N·m)
-//     CondEntropy evaluations.
-//   - The pick loop replaces a priority queue with a two-level argmax:
-//     every task caches the first strict maximum of its gain row (fact
-//     ascending), and each pick scans those per-task bests in task order
-//     with a strict comparison — exactly the argmax order of Greedy's
-//     full scan (gain descending, ties to the lowest task then fact), at
-//     O(N) per pick with no heap maintenance and no allocation. A pick
-//     only perturbs the gains of its own task (tasks are independent), so
-//     only that task's row is re-evaluated — eagerly, on exactly Greedy's
-//     recompute schedule, rather than CELF-style stale-until-popped:
-//     pure laziness needs stale gains to upper-bound fresh ones, and
-//     while submodularity guarantees that in exact arithmetic, rounding
-//     can violate it by a few ulps, which in the exact-tie regimes of a
-//     converged belief silently changes the argmax and breaks
-//     pick-identity with Greedy. Eager refresh costs at most m−1 extra
-//     evaluations per pick and keeps the identity provable; the (1−1/e)
-//     guarantee carries over unchanged either way.
-//   - The crowd-only pieces of CondEntropy (Hamming-distance likelihood
-//     tables, Σ_cr h(Pr_cr), the asymmetric yes-probability table) are
-//     computed once per crowd; projections and query-set lists are built
-//     in pooled scratch, so a steady-state round allocates O(1).
-//
-// The caller owns cache coherence: after mutating a task's belief (or its
-// Frozen mask) it must call Invalidate(task) before the next Select. The
-// pipeline does this for every task that received answers. Select itself
-// detects crowd or problem-shape changes and resets wholesale, so one
-// state must only ever serve one logical run at a time.
+// The uniform scorer keeps the evaluations fast: the crowd-only pieces
+// of CondEntropy (Hamming-distance likelihood tables, Σ_cr h(Pr_cr), the
+// asymmetric yes-probability table) are computed once per crowd, every
+// rescan and refill fuses its per-fact projections into a single
+// observation pass, and scratch is pooled, so a steady-state round
+// allocates O(1).
 //
 // Workers > 1 re-scans invalidated tasks concurrently and fans the
-// post-pick row refresh out across the same pool; every goroutine writes
-// a disjoint slot of the row and the per-task best is reduced serially
-// afterwards, so the parallel refill is deterministic and bit-identical
-// to the serial one. SelectionState is not safe for concurrent Select
-// calls.
+// post-pick row refresh out across the same pool; the result is
+// bit-identical to the serial one. SelectionState is not safe for
+// concurrent Select calls.
 type SelectionState struct {
 	// Workers bounds the goroutines of the invalidation re-scan and the
 	// post-pick row refresh; <= 1 means serial.
 	Workers int
 
-	// Crowd-derived memos, reset when the crowd signature changes.
-	crowdSig  string
-	ce        crowd.Crowd
+	engine
+
+	// Crowd-derived memos, rebuilt by resetCrowd.
 	asym      bool
 	hPerQuery float64      // symmetric: Σ_cr h(Pr_cr)
 	pYes      [][2]float64 // asymmetric: P(yes | truth) per worker
@@ -72,81 +47,6 @@ type SelectionState struct {
 	// mutex makes get-or-create safe from the parallel re-scan.
 	tablesMu sync.Mutex
 	tables   map[int][][]float64 //hclint:guardedby tablesMu
-
-	tasks []*taskCache
-
-	// dirtyList and touchedList are per-Select scratch (task indices),
-	// kept on the state so steady-state rounds reuse their capacity.
-	dirtyList   []int
-	touchedList []int
-
-	// pending holds a cache restored via RestoreCache until the next sync
-	// adopts it (the crowd memos must be recomputed for the live crowd
-	// before the per-task gains are trusted).
-	pending *SelectionCache
-
-	stats engineStats
-}
-
-// taskCache holds the belief-derived memos for one task.
-type taskCache struct {
-	dirty     bool
-	entropy   float64   // H(O_t)
-	gains     []float64 // round-start gain per fact; NaN marks frozen facts
-	frozen    []bool    // the mask gains was computed under
-	anyFrozen bool      // OR of frozen, the drift check's fast path
-	// bestFact/bestGain cache the first strict maximum of gains in fact
-	// order (the task's entry in the pick loop's argmax); bestFact == -1
-	// when no live candidate remains.
-	bestFact int
-	bestGain float64
-
-	// Pick-loop scratch, only meaningful while touched (reset at the
-	// start of the next Select): sel holds this round's picks in this
-	// task in pick order, chosen marks them, live holds the refreshed
-	// marginal gains given sel with NaN on chosen and frozen facts, and
-	// qs is the refill's fused projection buffer.
-	touched      bool
-	sel          []int
-	chosen       []bool
-	live         []float64
-	qs           []float64
-	liveBestFact int
-	liveBestGain float64
-}
-
-// curBest returns the task's current argmax entry: the refreshed row if
-// the task received a pick this round, the round-start row otherwise.
-func (tc *taskCache) curBest() (int, float64) {
-	if tc.touched {
-		return tc.liveBestFact, tc.liveBestGain
-	}
-	return tc.bestFact, tc.bestGain
-}
-
-// resetRound clears the pick-loop scratch. chosen and live are left
-// dirty; they are re-initialized when the task is next touched.
-func (tc *taskCache) resetRound() {
-	tc.touched = false
-	tc.sel = tc.sel[:0]
-}
-
-// gainRowBest returns the first strict maximum of a gain row in fact
-// order, skipping NaN (frozen or consumed) entries; (-1, -Inf) when the
-// row has no live entry. Scanning facts ascending with a strict > is
-// exactly how Greedy's argmax breaks ties, which is what makes the
-// cached best usable in its place.
-func gainRowBest(gains []float64) (int, float64) {
-	bf, bg := -1, math.Inf(-1)
-	for f, g := range gains {
-		if math.IsNaN(g) {
-			continue
-		}
-		if g > bg {
-			bf, bg = f, g
-		}
-	}
-	return bf, bg
 }
 
 // NewSelectionState returns an empty incremental selection engine; the
@@ -159,158 +59,33 @@ func NewSelectionState(workers int) *SelectionState {
 // because it is the same algorithm — only the evaluation schedule differs.
 func (s *SelectionState) Name() string { return "Approx" }
 
-// Invalidate marks tasks whose beliefs (or frozen masks) changed since the
-// last Select, forcing their cached gains to be recomputed. Out-of-range
-// indices are ignored.
-func (s *SelectionState) Invalidate(tasks ...int) {
-	for _, t := range tasks {
-		if t >= 0 && t < len(s.tasks) && s.tasks[t] != nil {
-			s.tasks[t].dirty = true
-		}
-	}
-}
+// columnCosts implements scorer: one query column at cost exactly 1.
+func (s *SelectionState) columnCosts(crowd.Crowd) []float64 { return []float64{1} }
 
-// InvalidateAll drops every cached gain (keeping the crowd memos).
-func (s *SelectionState) InvalidateAll() {
-	for _, tc := range s.tasks {
-		if tc != nil {
-			tc.dirty = true
-		}
-	}
-}
-
-// Admit grows the task table to total tasks, appending cold cache slots
-// for the newly admitted tasks while keeping every existing task's cached
-// gains and the crowd memos — the next sync slab-fills only the new
-// slots instead of resetting wholesale. A state that has not synced yet
-// is left untouched: its first sync builds the table at the grown size
-// anyway. total at or below the current size is a no-op.
-func (s *SelectionState) Admit(total int) {
-	if len(s.tasks) == 0 || total <= len(s.tasks) {
-		return
-	}
-	s.tasks = append(s.tasks, make([]*taskCache, total-len(s.tasks))...)
-}
-
-// crowdSignature fingerprints the crowd for cache-reset detection.
-func crowdSignature(ce crowd.Crowd) string {
-	var sb strings.Builder
+// resetCrowd implements scorer.
+func (s *SelectionState) resetCrowd(ce crowd.Crowd) {
+	s.asym = false
 	for _, w := range ce {
-		fmt.Fprintf(&sb, "%s\x00%v\x00%v\x00%v\x01", w.ID, w.Accuracy, w.TPR, w.TNR)
-	}
-	return sb.String()
-}
-
-// crowdEqual reports whether two crowds are identical worker for worker —
-// the steady-state fast path of the crowd-change check, sparing the
-// formatted signature rebuild on every call. Float fields compare by bit
-// pattern, which is at least as strict as the signature string.
-func crowdEqual(a, b crowd.Crowd) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID ||
-			math.Float64bits(a[i].Accuracy) != math.Float64bits(b[i].Accuracy) ||
-			math.Float64bits(a[i].TPR) != math.Float64bits(b[i].TPR) ||
-			math.Float64bits(a[i].TNR) != math.Float64bits(b[i].TNR) {
-			return false
+		if w.Asymmetric() {
+			s.asym = true
+			break
 		}
 	}
-	return true
-}
-
-// sync aligns the cache with the problem: a crowd or shape change resets
-// everything, and a frozen-mask drift on a clean task dirties it.
-func (s *SelectionState) sync(p Problem) {
-	if !crowdEqual(s.ce, p.Experts) || len(p.Beliefs) != len(s.tasks) {
-		s.crowdSig = crowdSignature(p.Experts)
-		// Copy the crowd so a caller mutating its slice in place is still
-		// caught by the equality check on the next call.
-		s.ce = append(crowd.Crowd(nil), p.Experts...)
-		s.asym = false
-		for _, w := range p.Experts {
-			if w.Asymmetric() {
-				s.asym = true
-				break
-			}
-		}
-		if s.asym {
-			s.pYes = asymYesTable(p.Experts)
-		} else {
-			s.hPerQuery = symAnswerEntropy(p.Experts)
-		}
-		// sync runs serially before any parallel scan, but the reset
-		// still takes tablesMu (uncontended) so the guardedby invariant
-		// holds on every path rather than by phase-ordering argument.
-		s.tablesMu.Lock()
-		s.tables = make(map[int][][]float64)
-		s.tablesMu.Unlock()
-		s.tasks = make([]*taskCache, len(p.Beliefs))
-		s.adoptPending(p)
+	if s.asym {
+		s.pYes = asymYesTable(ce)
+	} else {
+		s.hPerQuery = symAnswerEntropy(ce)
 	}
-	s.pending = nil
-	// Batch-allocate caches for tasks still missing one (all of them after
-	// a reset, none in steady state) instead of one heap object per task.
-	missing := 0
-	for _, tc := range s.tasks {
-		if tc == nil {
-			missing++
-		}
+	// resetCrowd runs serially before any parallel scan, but the reset
+	// still takes tablesMu (uncontended) so the guardedby invariant holds
+	// on every path rather than by phase-ordering argument.
+	s.tablesMu.Lock()
+	s.tables = make(map[int][][]float64)
+	s.tablesMu.Unlock()
+	if !s.asym {
+		// Pre-warm the size-1 table so the parallel re-scan only reads it.
+		s.likelihoodTablesFor(1)
 	}
-	if missing > 0 {
-		slab := make([]taskCache, missing)
-		// Carve every new cache's per-fact slices out of two shared backing
-		// arrays; a cold sync otherwise allocates four slices per task. The
-		// three-index slicing caps each slice at its task's fact count, so
-		// a later grow can never reach into a neighbour's segment.
-		totalFacts := 0
-		for t := range s.tasks {
-			if s.tasks[t] == nil {
-				totalFacts += p.Beliefs[t].NumFacts()
-			}
-		}
-		fslab := make([]float64, 2*totalFacts)
-		bslab := make([]bool, 2*totalFacts)
-		i, off := 0, 0
-		for t := range s.tasks {
-			if s.tasks[t] == nil {
-				m := p.Beliefs[t].NumFacts()
-				tc := &slab[i]
-				tc.dirty = true
-				tc.gains = fslab[off : off+m : off+m]
-				tc.live = fslab[off+m : off+2*m : off+2*m]
-				tc.frozen = bslab[off : off+m : off+m]
-				tc.chosen = bslab[off+m : off+2*m : off+2*m]
-				s.tasks[t] = tc
-				i++
-				off += 2 * m
-			}
-		}
-	}
-	for t, tc := range s.tasks {
-		if !tc.dirty && !frozenEqual(tc.frozen, tc.anyFrozen, p, t) {
-			tc.dirty = true
-		}
-	}
-}
-
-// frozenEqual reports whether the cached frozen mask matches the
-// problem's current mask for task t. anyFrozen is the cached mask's OR,
-// letting the overwhelmingly common nothing-frozen-anywhere case skip the
-// per-fact scan.
-func frozenEqual(cached []bool, anyFrozen bool, p Problem, t int) bool {
-	if !anyFrozen && (p.Frozen == nil || t >= len(p.Frozen) || p.Frozen[t] == nil) {
-		return true
-	}
-	n := p.Beliefs[t].NumFacts()
-	for f := 0; f < n; f++ {
-		was := cached != nil && f < len(cached) && cached[f]
-		if was != p.frozen(t, f) {
-			return false
-		}
-	}
-	return true
 }
 
 // likelihoodTablesFor returns the memoized Hamming-distance tables for
@@ -326,106 +101,64 @@ func (s *SelectionState) likelihoodTablesFor(sz int) [][]float64 {
 	return tbl
 }
 
-// condEntropy evaluates H(O_t | AS^facts) through the crowd memos, using
-// sc for the projection. It matches CondEntropy bitwise: the cores run
-// the identical arithmetic, only the setup comes from cache and scratch.
-func (s *SelectionState) condEntropy(sc *evalScratch, tc *taskCache, d *belief.Dist, facts []int) (float64, error) {
-	if len(facts) == 0 {
-		return tc.entropy, nil
+// core runs the sym or asym conditional-entropy core on projection q of a
+// size-sz query set.
+func (s *SelectionState) core(entropy float64, q []float64, tables [][]float64, sz int) float64 {
+	if s.asym {
+		return condEntropyAsymCore(entropy, q, s.pYes, sz, len(s.ce))
 	}
-	sz, w := len(facts), len(s.ce)
+	return condEntropySymCore(entropy, q, tables, s.hPerQuery, sz, len(s.ce))
+}
+
+// condEntropy implements scorer: H(O_t | AS^facts) through the crowd
+// memos, using sc for the projection. It matches CondEntropy bitwise: the
+// cores run the identical arithmetic, only the setup comes from cache and
+// scratch.
+func (s *SelectionState) condEntropy(sc *evalScratch, tc *taskCache, d *belief.Dist, units []unitRef) (float64, error) {
+	sz, w := len(units), len(s.ce)
 	if sz*w > maxFamilyBits {
 		return 0, fmt.Errorf("%w: |T|=%d × |CE|=%d", ErrTooLarge, sz, w)
 	}
 	s.stats.evals.Add(1)
-	sc.q = projectionInto(sc.q, d, facts)
-	if s.asym {
-		return condEntropyAsymCore(tc.entropy, sc.q, s.pYes, sz, w), nil
+	sc.facts = sc.facts[:0]
+	for _, u := range units {
+		sc.facts = append(sc.facts, u.fact)
 	}
-	return condEntropySymCore(tc.entropy, sc.q, s.likelihoodTablesFor(sz), s.hPerQuery, sz, w), nil
-}
-
-// rescan rebuilds the round-start gain cache of task t. The round-start
-// gains all condition on one-fact query sets, so the per-fact projections
-// are fused into a single observation pass that fills every fact's
-// two-pattern marginal; each addition happens in the order the per-fact
-// projection would perform it, so the gains are bitwise the ones the
-// one-at-a-time evaluation produces.
-func (s *SelectionState) rescan(ctx context.Context, p Problem, t int) error {
-	tc := s.tasks[t]
-	d := p.Beliefs[t]
-	sc := getScratch()
-	defer putScratch(sc)
-	tc.entropy = d.Entropy()
-	m, w := d.NumFacts(), len(s.ce)
-	if w > maxFamilyBits {
-		return fmt.Errorf("%w: |T|=1 × |CE|=%d", ErrTooLarge, w)
-	}
-	tc.gains = growFloats(tc.gains, m)
-	tc.frozen = growBools(tc.frozen, m)
-	tc.anyFrozen = false
-	qs := growFloats(sc.q, 2*m)
-	for i := range qs {
-		qs[i] = 0
-	}
-	for o := 0; o < d.NumObservations(); o++ {
-		po := d.P(o)
-		if po == 0 {
-			continue
-		}
-		for f := 0; f < m; f++ {
-			idx := 2 * f
-			if belief.Models(o, f) {
-				idx++
-			}
-			qs[idx] += po
-		}
-	}
-	sc.q = qs
+	sc.q = projectionInto(sc.q, d, sc.facts)
 	var tables [][]float64
 	if !s.asym {
-		tables = s.likelihoodTablesFor(1)
+		tables = s.likelihoodTablesFor(sz)
 	}
-	for f := 0; f < m; f++ {
-		tc.frozen[f] = p.frozen(t, f)
-		if tc.frozen[f] {
-			tc.anyFrozen = true
-			tc.gains[f] = math.NaN()
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.stats.evals.Add(1)
-		q := qs[2*f : 2*f+2]
-		var h float64
-		if s.asym {
-			h = condEntropyAsymCore(tc.entropy, q, s.pYes, 1, w)
-		} else {
-			h = condEntropySymCore(tc.entropy, q, tables, s.hPerQuery, 1, w)
-		}
-		tc.gains[f] = tc.entropy - h
-	}
-	tc.bestFact, tc.bestGain = gainRowBest(tc.gains)
-	tc.dirty = false
-	return nil
+	return s.core(tc.entropy, sc.q, tables, sz), nil
 }
 
-// refill re-evaluates task tc's unchosen candidates against the enlarged
-// selection (conditional entropy nh) — exactly Greedy's recompute
-// schedule after a pick — and refreshes the task's cached argmax. Every
-// candidate's query set is sel plus one fact, so the projections are
-// fused into a single observation pass (the selection's pattern bits are
-// shared; only the candidate's top bit differs), with each addition in
-// the order the per-candidate projection would perform it — the gains
-// are bitwise the ones Greedy's one-at-a-time evaluation produces.
-// Workers > 1 fans the core evaluations out after the serial projection
-// pass; each goroutine writes only its fact's slot and the argmax
-// reduction runs serially afterwards, so the result is identical to the
-// serial sweep.
-func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Dist, nh float64) error {
+// scan implements scorer: the round-start row is a refill against the
+// empty selection, serial because the engine already spreads its
+// re-scans over the worker pool.
+func (s *SelectionState) scan(ctx context.Context, tc *taskCache, d *belief.Dist) error {
+	tc.chosen = grow(tc.chosen, d.NumFacts())
+	clear(tc.chosen)
+	return s.fill(ctx, tc, d, tc.gains, tc.entropy, 1)
+}
+
+// refill implements scorer. With one column of cost 1 no candidate is
+// ever unaffordable, so only chosen and frozen facts are dead.
+func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Dist, nh, _ float64) error {
+	return s.fill(ctx, tc, d, tc.live, nh, s.Workers)
+}
+
+// fill writes row[f] = base − H(O_t | tc.units ∪ {f}) for every live fact
+// f, NaN for chosen and frozen ones. Every candidate's query set is the
+// task's picks plus one fact, so the projections are fused into a single
+// observation pass (the picks' pattern bits are shared; only the
+// candidate's top bit differs), with each addition in the order the
+// per-candidate projection would perform it — the gains are bitwise the
+// ones Greedy's one-at-a-time evaluation produces. workers > 1 fans the
+// core evaluations out after the serial projection pass; each goroutine
+// writes only its fact's slot.
+func (s *SelectionState) fill(ctx context.Context, tc *taskCache, d *belief.Dist, row []float64, base float64, workers int) error {
 	m, w := d.NumFacts(), len(s.ce)
-	sz := len(tc.sel) + 1
+	sz := len(tc.units) + 1
 	if sz*w > maxFamilyBits {
 		return fmt.Errorf("%w: |T|=%d × |CE|=%d", ErrTooLarge, sz, w)
 	}
@@ -434,8 +167,10 @@ func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Di
 		tables = s.likelihoodTablesFor(sz)
 	}
 	n := 1 << uint(sz)
-	tc.qs = growFloats(tc.qs, m*n)
-	qs := tc.qs
+	sc := getScratch()
+	defer putScratch(sc)
+	sc.q = grow(sc.q, m*n)
+	qs := sc.q
 	for i := range qs {
 		qs[i] = 0
 	}
@@ -446,8 +181,8 @@ func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Di
 			continue
 		}
 		pb := 0
-		for j, fs := range tc.sel {
-			if belief.Models(o, fs) {
+		for j, u := range tc.units {
+			if belief.Models(o, u.fact) {
 				pb |= 1 << uint(j)
 			}
 		}
@@ -462,27 +197,15 @@ func (s *SelectionState) refill(ctx context.Context, tc *taskCache, d *belief.Di
 			qs[f*n+idx] += po
 		}
 	}
-	err := scanAll(ctx, m, s.Workers, func(f int) error {
+	return scanAll(ctx, m, workers, func(f int) error {
 		if tc.chosen[f] || tc.frozen[f] {
-			tc.live[f] = math.NaN()
+			row[f] = math.NaN()
 			return nil
 		}
 		s.stats.evals.Add(1)
-		q := qs[f*n : (f+1)*n]
-		var th float64
-		if s.asym {
-			th = condEntropyAsymCore(tc.entropy, q, s.pYes, sz, w)
-		} else {
-			th = condEntropySymCore(tc.entropy, q, tables, s.hPerQuery, sz, w)
-		}
-		tc.live[f] = nh - th
+		row[f] = base - s.core(tc.entropy, qs[f*n:(f+1)*n], tables, sz)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	tc.liveBestFact, tc.liveBestGain = gainRowBest(tc.live)
-	return nil
 }
 
 // Select implements Selector. See the type comment for the contract; the
@@ -494,92 +217,14 @@ func (s *SelectionState) Select(ctx context.Context, p Problem, k int) ([]Candid
 	if k <= 0 {
 		return nil, nil
 	}
-	// Clear the previous round's pick-loop scratch up front (not at the
-	// end: an error-path abort must not leak touched rows into the next
-	// call) and before sync, which may swap the task table wholesale.
-	for _, t := range s.touchedList {
-		if t < len(s.tasks) && s.tasks[t] != nil {
-			s.tasks[t].resetRound()
-		}
+	// Unit cost and no per-task cap: a budget of k buys exactly k picks.
+	units, err := s.pick(ctx, p, s, s.Workers, float64(k), math.MaxInt)
+	if err != nil || len(units) == 0 {
+		return nil, err
 	}
-	s.touchedList = s.touchedList[:0]
-	s.sync(p)
-	s.stats.selects.Add(1)
-
-	// Parallel invalidation re-scan: only dirty tasks pay the O(m)
-	// CondEntropy sweep.
-	s.dirtyList = s.dirtyList[:0]
-	for t, tc := range s.tasks {
-		if tc.dirty {
-			s.dirtyList = append(s.dirtyList, t)
-		}
-	}
-	s.stats.rescans.Add(int64(len(s.dirtyList)))
-	s.stats.reused.Add(int64(len(s.tasks) - len(s.dirtyList)))
-	if len(s.dirtyList) > 0 {
-		// Pre-warm the size-1 table so the workers only read shared state.
-		if !s.asym {
-			s.likelihoodTablesFor(1)
-		}
-		err := scanAll(ctx, len(s.dirtyList), s.Workers, func(i int) error {
-			return s.rescan(ctx, p, s.dirtyList[i])
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	sc := getScratch()
-	defer putScratch(sc)
-	var picks []Candidate
-	for len(picks) < k {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Two-level argmax: per-task cached bests, scanned in task order
-		// with a strict > — Greedy's exact tie-break order.
-		bt, bf := -1, -1
-		bg := math.Inf(-1)
-		for t, tc := range s.tasks {
-			f, g := tc.curBest()
-			if f >= 0 && g > bg {
-				bt, bf, bg = t, f, g
-			}
-		}
-		if bt < 0 || bg <= gainEps {
-			// Algorithm 2 line 4: no candidate improves the objective.
-			break
-		}
-		tc, d := s.tasks[bt], p.Beliefs[bt]
-		if !tc.touched {
-			tc.touched = true
-			s.touchedList = append(s.touchedList, bt)
-			m := d.NumFacts()
-			tc.chosen = growBools(tc.chosen, m)
-			for f := range tc.chosen {
-				tc.chosen[f] = false
-			}
-			tc.live = growFloats(tc.live, m)
-		}
-		picks = append(picks, Candidate{Task: bt, Fact: bf})
-		tc.sel = append(tc.sel, bf)
-		tc.chosen[bf] = true
-		if len(picks) == k {
-			// The round is complete: no further argmax reads the refreshed
-			// row (the next Select rescans or starts from round-start gains),
-			// so the final — and most expensive — refresh is skipped.
-			break
-		}
-		// The enlarged selection's conditional entropy becomes the new gain
-		// baseline for task bt; its remaining candidates re-evaluate against
-		// it on exactly Greedy's recompute schedule.
-		nh, err := s.condEntropy(sc, tc, d, tc.sel)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.refill(ctx, tc, d, nh); err != nil {
-			return nil, err
-		}
+	picks := make([]Candidate, len(units))
+	for i, u := range units {
+		picks[i] = Candidate{Task: u.task, Fact: u.fact}
 	}
 	sortCandidates(picks)
 	return picks, nil

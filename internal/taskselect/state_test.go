@@ -21,6 +21,25 @@ func randomProblem(t *testing.T, seed int64, tasks int, ce crowd.Crowd) Problem 
 	return Problem{Beliefs: beliefs, Experts: ce}
 }
 
+// tiedProblem clones one uniform belief over three facts into four
+// tasks. Its probabilities are dyadic, so every fact's gain ties exactly
+// with every other fact's and task's until answers separate them; with
+// equal-accuracy experts the units of one fact tie across workers too.
+// The incremental engines must break every tie as the reference
+// selectors do: lowest task, then fact, then worker.
+func tiedProblem(t *testing.T, ce crowd.Crowd) Problem {
+	t.Helper()
+	beliefs := make([]*belief.Dist, 4)
+	for i := range beliefs {
+		d, err := belief.FromJoint([]float64{1, 1, 1, 1, 1, 1, 1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		beliefs[i] = d
+	}
+	return Problem{Beliefs: beliefs, Experts: ce}
+}
+
 // samePicks fails the test unless the two selectors returned identical
 // candidate sets.
 func samePicks(t *testing.T, label string, got, want []Candidate) {
@@ -64,15 +83,20 @@ func TestSelectionStateMatchesGreedyAcrossRounds(t *testing.T) {
 		ce      crowd.Crowd
 		workers int
 		frozen  bool
+		problem func(*testing.T, crowd.Crowd) Problem // nil: randomProblem
 	}{
-		{"symmetric-serial", experts(0.85, 0.95), 0, false},
-		{"symmetric-parallel", experts(0.85, 0.95), 4, false},
-		{"asymmetric", crowd.Crowd{{ID: "A", TPR: 0.9, TNR: 0.8}, {ID: "B", TPR: 0.85, TNR: 0.95}}, 2, false},
-		{"with-freezing", experts(0.85, 0.95), 2, true},
+		{"symmetric-serial", experts(0.85, 0.95), 0, false, nil},
+		{"symmetric-parallel", experts(0.85, 0.95), 4, false, nil},
+		{"asymmetric", crowd.Crowd{{ID: "A", TPR: 0.9, TNR: 0.8}, {ID: "B", TPR: 0.85, TNR: 0.95}}, 2, false, nil},
+		{"with-freezing", experts(0.85, 0.95), 2, true, nil},
+		{"ties", experts(0.9, 0.9), 2, false, tiedProblem},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := randomProblem(t, 3, 5, tc.ce)
+			if tc.problem != nil {
+				p = tc.problem(t, tc.ce)
+			}
 			if tc.frozen {
 				p.Frozen = make([][]bool, len(p.Beliefs))
 				for i, d := range p.Beliefs {

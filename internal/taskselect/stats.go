@@ -11,7 +11,8 @@ type SelectStats struct {
 	// Selects counts Select / SelectAssign calls served.
 	Selects int64
 	// Evals counts CondEntropy-core evaluations run through this state —
-	// the same unit the global EvalCount (and BENCH_core.json) measures.
+	// the same unit the global EvalCount and the benchmark's
+	// taskselect.{uniform,costaware}.evals_per_round measure.
 	Evals int64
 	// Rescans counts task caches rebuilt because the task was invalidated
 	// or new (cache misses, in tasks).
@@ -31,9 +32,8 @@ func (s SelectStats) Sub(prev SelectStats) SelectStats {
 	}
 }
 
-// engineStats is the atomic backing store shared by SelectionState and
-// AssignState. Atomics, not a mutex: evals are bumped from the parallel
-// invalidation re-scan.
+// engineStats is the incremental engine's atomic counter store. Atomics,
+// not a mutex: evals are bumped from the parallel invalidation re-scan.
 type engineStats struct {
 	selects atomic.Int64
 	evals   atomic.Int64
@@ -41,20 +41,14 @@ type engineStats struct {
 	reused  atomic.Int64
 }
 
-func (e *engineStats) snapshot() SelectStats {
+// Stats returns the engine's cumulative work counters. Safe to call
+// concurrently with a running selection call (the fields are read
+// atomically, though a mid-call snapshot may catch a round half-counted).
+func (e *engine) Stats() SelectStats {
 	return SelectStats{
-		Selects: e.selects.Load(),
-		Evals:   e.evals.Load(),
-		Rescans: e.rescans.Load(),
-		Reused:  e.reused.Load(),
+		Selects: e.stats.selects.Load(),
+		Evals:   e.stats.evals.Load(),
+		Rescans: e.stats.rescans.Load(),
+		Reused:  e.stats.reused.Load(),
 	}
 }
-
-// Stats returns the engine's cumulative work counters. Safe to call
-// concurrently with a running Select (the fields are read atomically,
-// though a mid-call snapshot may catch a round half-counted).
-func (s *SelectionState) Stats() SelectStats { return s.stats.snapshot() }
-
-// Stats returns the engine's cumulative work counters; see
-// SelectionState.Stats.
-func (s *AssignState) Stats() SelectStats { return s.stats.snapshot() }
