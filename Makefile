@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures fuzz-smoke race determinism bench bench-snapshot bench-compare snapshot-smoke metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke verify
+.PHONY: build test vet lint lint-fixtures fuzz-smoke race determinism bench metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke verify
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,8 @@ race:
 # handed between replicas (gracefully or by kill) must finish
 # byte-identically to one that never moved. The cluster entry pins the
 # consistent-hash ring: identical routing from any membership ordering.
+# The experiments entry renders the concurrent Fig2 driver at GOMAXPROCS
+# 1 and 4 against pinned hashes.
 determinism:
 	$(GO) test -count=2 -run 'DeterministicGivenSeed' ./internal/pipeline/ ./internal/experiments/ ./internal/server/ ./internal/taskselect/ ./internal/admit/ ./internal/cluster/
 
@@ -58,25 +60,6 @@ determinism:
 # selection engine's pick-identity + evals/round check).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
-
-# Snapshot the current performance numbers (incremental-selection
-# evals/round for both loop flavors + the Fig2 end-to-end driver, with
-# -benchmem so allocs/op and B/op are captured) as BENCH_next.json.
-# BENCH_core.json is the archived pre-hot-path baseline — don't
-# overwrite it; diff against it with bench-compare.
-bench-snapshot:
-	$(GO) test -run xxx -bench 'GreedyIncremental|CostGreedyIncremental|Fig2Baselines' -benchtime 1x -benchmem . \
-		| $(GO) run ./cmd/hcsnap -out BENCH_next.json
-
-# Print per-benchmark, per-metric deltas between the archived core
-# baseline and the latest bench-snapshot.
-bench-compare:
-	$(GO) run ./cmd/hcsnap -compare BENCH_core.json BENCH_next.json
-
-# Smoke-test the snapshot pipeline (one cheap benchmark, JSON to stdout)
-# without writing the baseline file.
-snapshot-smoke:
-	$(GO) test -run xxx -bench 'CondEntropyFast' -benchtime 1x . | $(GO) run ./cmd/hcsnap >/dev/null
 
 # End-to-end observability smoke: boot a -sim hcserve, scrape GET
 # /metrics while it labels, and assert the round counters advance.
@@ -125,4 +108,4 @@ bench-smoke:
 # Gate order: cheap static analysis first (vet, then hclint and its
 # fixture self-test), then the fuzz smoke, then the race/determinism
 # suite and the e2e smokes.
-verify: build vet lint lint-fixtures fuzz-smoke race determinism snapshot-smoke metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke
+verify: build vet lint lint-fixtures fuzz-smoke race determinism metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke

@@ -84,9 +84,10 @@ func (a EBCC) Aggregate(m *dataset.Matrix) (*Result, error) {
 	for w := range elogTau {
 		elogTau[w] = make([][2]float64, K)
 	}
+	alpha := make([]float64, K)
+	logw := make([]float64, K)
 	for ; iter < a.MaxIter; iter++ {
 		// Variational M-step: Dirichlet posterior over states.
-		alpha := make([]float64, K)
 		mathx.Fill(alpha, a.AlphaPrior/float64(M))
 		for f := 0; f < nF; f++ {
 			for s := 0; s < K; s++ {
@@ -141,7 +142,6 @@ func (a EBCC) Aggregate(m *dataset.Matrix) (*Result, error) {
 		// new responsibilities with the previous ones restores the
 		// fixed-point convergence.
 		for f := 0; f < nF; f++ {
-			logw := make([]float64, K)
 			copy(logw, elogRho)
 			for _, o := range m.ByFact(f) {
 				ai := btoi(o.Value)

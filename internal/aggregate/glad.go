@@ -52,6 +52,9 @@ func (a GLAD) Aggregate(m *dataset.Matrix) (*Result, error) {
 	mathx.Fill(alpha, 1)
 	gamma := make([]float64, nF) // beta = exp(gamma), starts at 1
 	prev := mathx.Clone(mu)
+	logw := make([]float64, 2)
+	gradA := make([]float64, nW)
+	gradG := make([]float64, nF)
 	iter := 0
 	converged := false
 	for ; iter < a.MaxIter; iter++ {
@@ -69,14 +72,14 @@ func (a GLAD) Aggregate(m *dataset.Matrix) (*Result, error) {
 					lf += math.Log(p)
 				}
 			}
-			logw := []float64{lf, lt}
+			logw[0], logw[1] = lf, lt
 			mathx.SoftmaxInPlace(logw)
 			mu[f] = logw[1]
 		}
 		// M-step: gradient ascent on E[log p(labels | α, β)].
 		for step := 0; step < a.GradSteps; step++ {
-			gradA := make([]float64, nW)
-			gradG := make([]float64, nF)
+			clear(gradA)
+			clear(gradG)
 			for f := 0; f < nF; f++ {
 				beta := math.Exp(gamma[f])
 				for _, o := range m.ByFact(f) {

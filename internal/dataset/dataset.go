@@ -104,8 +104,12 @@ func (ds *Dataset) TaskOf() (task, local []int) {
 // expert answers assigned uniformly at random over (fact, expert) pairs
 // not yet answered. This is how the Figure 2 baselines spend the same
 // budget HC spends on selected checking tasks: as undirected extra
-// redundancy. Experts answer with their true accuracy.
+// redundancy. Experts answer with their true accuracy. A budget above
+// the number of free pairs is truncated; a negative one is an error.
 func (ds *Dataset) WithExpertAnswers(rng *rand.Rand, budget int) (*Matrix, error) {
+	if budget < 0 {
+		return nil, fmt.Errorf("dataset: negative expert-answer budget %d", budget)
+	}
 	ce, _ := ds.Split()
 	if len(ce) == 0 {
 		return nil, errors.New("dataset: no expert workers above theta")

@@ -241,6 +241,17 @@ func TestWithExpertAnswers(t *testing.T) {
 	}
 }
 
+// A negative budget is an error, not a slice-bounds panic.
+func TestWithExpertAnswersRejectsNegativeBudget(t *testing.T) {
+	ds, err := SentiLike(rngutil.New(1), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ds.WithExpertAnswers(rngutil.New(2), -1); err == nil {
+		t.Fatalf("budget -1 accepted (%d answers)", m.NumAnswers())
+	}
+}
+
 func TestRoundTripJSON(t *testing.T) {
 	ds, err := SentiLike(rngutil.New(1), smallConfig())
 	if err != nil {
