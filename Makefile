@@ -63,8 +63,10 @@ bench:
 
 # End-to-end observability smoke: boot a -sim hcserve, scrape GET
 # /metrics while it labels, and assert the round counters advance.
+# -count=10: a scrape racing the per-route counter once failed about 1
+# run in 30, which a single run would rarely catch.
 metrics-smoke:
-	$(GO) test -run 'RunSimMetricsSmoke' -count=1 ./cmd/hcserve/
+	$(GO) test -run 'RunSimMetricsSmoke' -count=10 ./cmd/hcserve/
 
 # End-to-end graceful-drain smoke: boot hcserve with a checkpoint
 # directory, create a second session over /v1, answer one round on each,

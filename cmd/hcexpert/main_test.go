@@ -33,12 +33,15 @@ func startServer(t *testing.T, budget float64) (url, dsPath string, ds *hcrowd.D
 		t.Fatal(err)
 	}
 	f.Close()
-	sess, err := server.NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: budget})
+	// hcserve serves its "default" session's routes at the root.
+	mgr := server.NewManager(server.ManagerOptions{})
+	_, sess, err := mgr.Create("default", ds, pipeline.Config{K: 1, Budget: budget}, server.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sess.Close)
-	srv := httptest.NewServer(server.Handler(sess))
+	root, _ := mgr.SessionHandler("default")
+	srv := httptest.NewServer(root)
 	t.Cleanup(srv.Close)
 	return srv.URL, dsPath, ds
 }

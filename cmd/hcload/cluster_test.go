@@ -105,7 +105,7 @@ func nameOwnedBy(t *testing.T, ring *cluster.Ring, owner string) string {
 // same schedule the in-process reference run uses. n > 0 stops after n
 // accepted answers (the crash point); n <= 0 drives to completion.
 func driveHTTPFlip(ctx context.Context, base, id string, n int) (int, error) {
-	cl := server.NewSessionClient(base, id)
+	cl := server.NewManagerClient(base).Session(id)
 	experts, err := cl.Experts(ctx)
 	if err != nil {
 		return 0, err
@@ -337,7 +337,7 @@ func TestRunClusterSmoke(t *testing.T) {
 	if _, err := driveHTTPFlip(ctx, bases[survivor], name, 0); err != nil {
 		t.Fatalf("post-kill drive on survivor: %v", err)
 	}
-	cl := server.NewSessionClient(bases[survivor], name)
+	cl := server.NewManagerClient(bases[survivor]).Session(name)
 	labels, err := cl.Labels(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Command hcserve runs the hierarchical crowdsourcing loop as an HTTP
 // labeling service. It starts one session from the -in dataset and
-// serves it both at the server root (the legacy single-session API) and
+// serves it both at the server root (the "default" session's routes) and
 // through the multi-session management API under /v1:
 //
 //	GET  /experts                 experts who may answer

@@ -179,9 +179,18 @@ func TestRunSimMetricsSmoke(t *testing.T) {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	// By now at least the first scrape has been counted per route.
-	if hr, ok := snap["http_requests_total"]; !ok || len(hr.Values) == 0 {
-		t.Errorf("no per-route HTTP stats: %+v", hr)
+	// The middleware counts a request after its handler returns, so a
+	// client can read one scrape and open the next before the first is
+	// counted: poll until a scrape has been counted per route.
+	for until := time.Now().Add(20 * time.Second); len(snap["http_requests_total"].Values) == 0; {
+		if time.Now().After(until) {
+			t.Errorf("no per-route HTTP stats: %+v", snap["http_requests_total"])
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+		if s, err := scrape(); err == nil {
+			snap = s
+		}
 	}
 
 	// -pprof mounted the profiling index on the same listener.

@@ -10,8 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"hcrowd/internal/dataset"
@@ -22,7 +22,7 @@ import (
 // neither an HTTPClient nor a Timeout.
 const defaultClientTimeout = 10 * time.Second
 
-// resolveTimeout maps the Timeout knob to an http.Client timeout: zero
+// resolveTimeout maps the Timeout knob to a per-request deadline: zero
 // means the default, negative disables the whole-request timeout (the
 // per-call context is then the only deadline).
 func resolveTimeout(d time.Duration) time.Duration {
@@ -50,23 +50,84 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server: %s returned %d: %s", e.Path, e.Code, e.Msg)
 }
 
-// Client is the Go consumer of the hcserve HTTP API. Expert-side tools
-// (or bridges to real crowdsourcing platforms) use it to poll for
-// checking queries and post answers.
-type Client struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
+// transport issues the HTTP requests of both clients.
+type transport struct {
 	// HTTPClient, when non-nil, is used as-is for every request (and
 	// Timeout is ignored — configure the client's own Timeout instead).
 	HTTPClient *http.Client
-	// Timeout bounds each whole request when HTTPClient is nil: 0 means
-	// the 10 s default, negative disables the timeout so only the
-	// per-call context deadline applies (long-poll friendly). It may be
-	// changed between requests: the derived client is rebuilt when the
-	// resolved timeout differs from the one it was built with, and
-	// reused (so connections pool) while it does not. Do not mutate it
-	// concurrently with in-flight requests.
+	// Timeout bounds each whole request, body included, when HTTPClient
+	// is nil: 0 means the 10 s default, negative disables the timeout so
+	// only the per-call context deadline applies (long-poll friendly).
+	// It is read per request, so it may be changed between requests.
 	Timeout time.Duration
+}
+
+// do sends one request and returns the response status. body is nil,
+// a []byte sent as-is, or a value sent as JSON. A status outside want
+// becomes a *StatusError carrying up to 512 bytes of the response body;
+// on a wanted status other than 204 No Content, decode (when non-nil)
+// reads the body.
+func (t transport) do(ctx context.Context, method, u string, body any, decode func(io.Reader) error, want ...int) (int, error) {
+	var rd io.Reader
+	ctype := "application/json"
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd, ctype = bytes.NewReader(b), "application/octet-stream"
+	default:
+		buf, err := json.Marshal(b)
+		if err != nil {
+			return 0, err
+		}
+		rd = bytes.NewReader(buf)
+	}
+	hc := t.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+		if d := resolveTimeout(t.Timeout); d > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d)
+			defer cancel()
+		}
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	if err != nil {
+		return 0, err
+	}
+	if rd != nil {
+		req.Header.Set("Content-Type", ctype)
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if !slices.Contains(want, resp.StatusCode) {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return resp.StatusCode, &StatusError{Path: u, Code: resp.StatusCode, Msg: string(msg)}
+	}
+	if decode != nil && resp.StatusCode != http.StatusNoContent {
+		if err := decode(resp.Body); err != nil {
+			return resp.StatusCode, fmt.Errorf("server: decode %s: %w", u, err)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
+// jsonInto is the decode callback that unmarshals the body into v.
+func jsonInto(v any) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(v) }
+}
+
+// Client is the Go consumer of the hcserve HTTP API. Expert-side tools
+// (or bridges to real crowdsourcing platforms) use it to poll for
+// checking queries and post answers. Its HTTPClient and Timeout fields
+// configure each request: HTTPClient, when set, is used as-is; otherwise
+// Timeout bounds each request (0 means 10 s, negative disables it).
+type Client struct {
+	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
+	BaseURL string
+	transport
 
 	// Retry policy for transient transport errors inside AnswerLoop:
 	// consecutive failures back off exponentially from RetryBaseDelay
@@ -76,10 +137,6 @@ type Client struct {
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	MaxRetries     int
-
-	mu             sync.Mutex
-	derived        *http.Client  //hclint:guardedby mu
-	derivedTimeout time.Duration //hclint:guardedby mu
 }
 
 // NewClient returns a client for the given server root with the default
@@ -88,60 +145,13 @@ func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL}
 }
 
-// NewSessionClient returns a client scoped to one managed session: the
-// same expert-side API, rooted at /v1/sessions/{id} instead of the
-// server root. baseURL is the service root, e.g. "http://127.0.0.1:8080".
-func NewSessionClient(baseURL, id string) *Client {
-	return NewClient(strings.TrimSuffix(baseURL, "/") + "/v1/sessions/" + url.PathEscape(id))
-}
-
-// http returns the cached timeout-scoped client, rebuilding it when
-// the resolved Timeout changed since it was built — a Timeout set after
-// the first request is honored instead of silently ignored, while an
-// unchanged Timeout keeps reusing the client (and its connection pool).
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	want := resolveTimeout(c.Timeout)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.derived == nil || c.derivedTimeout != want {
-		c.derived = &http.Client{Timeout: want}
-		c.derivedTimeout = want
-	}
-	return c.derived
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, v any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if v != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			return resp.StatusCode, fmt.Errorf("server: decode %s: %w", path, err)
-		}
-	}
-	return resp.StatusCode, nil
-}
-
 // Experts lists the worker IDs the session accepts answers from.
 func (c *Client) Experts(ctx context.Context) ([]string, error) {
 	var out struct {
 		Experts []string `json:"experts"`
 	}
-	code, err := c.getJSON(ctx, "/experts", &out)
-	if err != nil {
+	if _, err := c.do(ctx, http.MethodGet, c.BaseURL+"/experts", nil, jsonInto(&out), http.StatusOK); err != nil {
 		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("server: /experts returned %d", code)
 	}
 	return out.Experts, nil
 }
@@ -156,123 +166,63 @@ type Query struct {
 // is nothing to answer right now.
 func (c *Client) Queries(ctx context.Context, workerID string) (Query, bool, error) {
 	var q Query
-	code, err := c.getJSON(ctx, "/queries?worker="+url.QueryEscape(workerID), &q)
-	if err != nil {
+	code, err := c.do(ctx, http.MethodGet, c.BaseURL+"/queries?worker="+url.QueryEscape(workerID), nil,
+		jsonInto(&q), http.StatusOK, http.StatusNoContent)
+	if err != nil || code == http.StatusNoContent {
 		return Query{}, false, err
 	}
-	switch code {
-	case http.StatusOK:
-		return q, true, nil
-	case http.StatusNoContent:
-		return Query{}, false, nil
-	default:
-		return Query{}, false, &StatusError{Path: "/queries", Code: code}
-	}
+	return q, true, nil
 }
 
 // Answer posts one worker's answers for a round.
 func (c *Client) Answer(ctx context.Context, round int, workerID string, values []bool) error {
-	body, err := json.Marshal(map[string]any{
-		"round": round, "worker": workerID, "values": values,
-	})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/answers", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{Path: "/answers", Code: resp.StatusCode, Msg: string(msg)}
-	}
-	return nil
+	body := map[string]any{"round": round, "worker": workerID, "values": values}
+	_, err := c.do(ctx, http.MethodPost, c.BaseURL+"/answers", body, nil, http.StatusAccepted)
+	return err
 }
 
 // AdmitTasks posts a batch of task fragments into a streaming session
 // (one created with a budget window); final closes the admission stream.
 // AdmitTasks(ctx, nil, true) just closes it.
 func (c *Client) AdmitTasks(ctx context.Context, frs []*dataset.Fragment, final bool) error {
-	body, err := json.Marshal(AdmitTasksRequest{Fragments: frs, Final: final})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/tasks", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{Path: "/tasks", Code: resp.StatusCode, Msg: string(msg)}
-	}
-	return nil
+	body := AdmitTasksRequest{Fragments: frs, Final: final}
+	_, err := c.do(ctx, http.MethodPost, c.BaseURL+"/tasks", body, nil, http.StatusAccepted)
+	return err
 }
 
 // Status fetches the session's progress.
 func (c *Client) Status(ctx context.Context) (Status, error) {
 	var st Status
-	code, err := c.getJSON(ctx, "/status", &st)
-	if err != nil {
+	if _, err := c.do(ctx, http.MethodGet, c.BaseURL+"/status", nil, jsonInto(&st), http.StatusOK); err != nil {
 		return Status{}, err
-	}
-	if code != http.StatusOK {
-		return Status{}, &StatusError{Path: "/status", Code: code}
 	}
 	return st, nil
 }
 
 // Checkpoint fetches the session's latest warm checkpoint; ok is false
 // before the first round completes. The returned checkpoint feeds
-// pipeline.Resume / NewSessionResume (or a create payload's checkpoint
-// field) for a warm restart.
+// pipeline.Resume, NewSession's SessionOptions.Checkpoint, or a create
+// payload's checkpoint field for a warm restart.
 func (c *Client) Checkpoint(ctx context.Context) (*pipeline.Checkpoint, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/checkpoint", nil)
+	var ck *pipeline.Checkpoint
+	_, err := c.do(ctx, http.MethodGet, c.BaseURL+"/checkpoint", nil, func(r io.Reader) (err error) {
+		ck, err = pipeline.ReadCheckpoint(r)
+		return err
+	}, http.StatusOK, http.StatusNoContent)
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		ck, err := pipeline.ReadCheckpoint(resp.Body)
-		if err != nil {
-			return nil, false, fmt.Errorf("server: decode /checkpoint: %w", err)
-		}
-		return ck, true, nil
-	case http.StatusNoContent:
-		return nil, false, nil
-	default:
-		return nil, false, &StatusError{Path: "/checkpoint", Code: resp.StatusCode}
-	}
+	return ck, ck != nil, nil
 }
 
-// Labels fetches the final labels; it errors while labeling is still in
-// progress.
+// Labels fetches the final labels; while labeling is still in progress
+// it returns a *StatusError with Code 409.
 func (c *Client) Labels(ctx context.Context) ([]bool, error) {
 	var out struct {
 		Labels []bool `json:"labels"`
 	}
-	code, err := c.getJSON(ctx, "/labels", &out)
-	if err != nil {
+	if _, err := c.do(ctx, http.MethodGet, c.BaseURL+"/labels", nil, jsonInto(&out), http.StatusOK); err != nil {
 		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("server: /labels returned %d", code)
 	}
 	return out.Labels, nil
 }
@@ -403,22 +353,12 @@ func (c *Client) AnswerLoop(ctx context.Context, workerID string, answer func(fa
 
 // ManagerClient is the Go consumer of the manager's /v1 session API:
 // create, list, inspect and cancel sessions, and mint session-scoped
-// expert clients.
+// expert clients. HTTPClient and Timeout configure each request as on
+// Client.
 type ManagerClient struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTPClient, when non-nil, is used as-is for every request (and
-	// Timeout is ignored).
-	HTTPClient *http.Client
-	// Timeout bounds each whole request when HTTPClient is nil: 0 means
-	// the 10 s default, negative disables the timeout (per-call context
-	// deadlines still apply). It may be changed between requests; see
-	// Client.Timeout.
-	Timeout time.Duration
-
-	mu             sync.Mutex
-	derived        *http.Client  //hclint:guardedby mu
-	derivedTimeout time.Duration //hclint:guardedby mu
+	transport
 }
 
 // NewManagerClient returns a manager client for the given service root
@@ -427,63 +367,11 @@ func NewManagerClient(baseURL string) *ManagerClient {
 	return &ManagerClient{BaseURL: strings.TrimSuffix(baseURL, "/")}
 }
 
-// http mirrors Client.http: cached while Timeout is unchanged, rebuilt
-// when it differs.
-func (c *ManagerClient) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	want := resolveTimeout(c.Timeout)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.derived == nil || c.derivedTimeout != want {
-		c.derived = &http.Client{Timeout: want}
-		c.derivedTimeout = want
-	}
-	return c.derived
-}
-
-// do issues one request and decodes the JSON response into v (when
-// non-nil and the status matches want); any other status becomes a
-// StatusError carrying the server's error body.
-func (c *ManagerClient) do(ctx context.Context, method, path string, body any, want int, v any) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
-	if err != nil {
-		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != want {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{Path: path, Code: resp.StatusCode, Msg: string(msg)}
-	}
-	if v != nil {
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			return fmt.Errorf("server: decode %s: %w", path, err)
-		}
-	}
-	return nil
-}
-
 // Create starts a new session from the payload and returns its info row
 // (including the generated ID when req.Name was empty).
 func (c *ManagerClient) Create(ctx context.Context, req CreateSessionRequest) (SessionInfo, error) {
 	var info SessionInfo
-	err := c.do(ctx, http.MethodPost, "/v1/sessions", req, http.StatusCreated, &info)
+	_, err := c.do(ctx, http.MethodPost, c.BaseURL+"/v1/sessions", req, jsonInto(&info), http.StatusCreated)
 	return info, err
 }
 
@@ -492,27 +380,29 @@ func (c *ManagerClient) List(ctx context.Context) ([]SessionInfo, error) {
 	var out struct {
 		Sessions []SessionInfo `json:"sessions"`
 	}
-	err := c.do(ctx, http.MethodGet, "/v1/sessions", nil, http.StatusOK, &out)
+	_, err := c.do(ctx, http.MethodGet, c.BaseURL+"/v1/sessions", nil, jsonInto(&out), http.StatusOK)
 	return out.Sessions, err
 }
 
 // Info returns one session's info row.
 func (c *ManagerClient) Info(ctx context.Context, id string) (SessionInfo, error) {
 	var info SessionInfo
-	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id), nil, http.StatusOK, &info)
+	_, err := c.do(ctx, http.MethodGet, c.sessionURL(id), nil, jsonInto(&info), http.StatusOK)
 	return info, err
 }
 
 // Cancel stops a session's run.
 func (c *ManagerClient) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+url.PathEscape(id), nil, http.StatusNoContent, nil)
+	_, err := c.do(ctx, http.MethodDelete, c.sessionURL(id), nil, nil, http.StatusNoContent)
+	return err
 }
 
-// Session returns an expert-side client scoped to one session,
-// inheriting this client's transport configuration.
+// Session returns an expert-side client scoped to one session, rooted at
+// /v1/sessions/{id} and sharing this client's HTTPClient and Timeout.
 func (c *ManagerClient) Session(id string) *Client {
-	cl := NewSessionClient(c.BaseURL, id)
-	cl.HTTPClient = c.HTTPClient
-	cl.Timeout = c.Timeout
-	return cl
+	return &Client{BaseURL: c.sessionURL(id), transport: c.transport}
+}
+
+func (c *ManagerClient) sessionURL(id string) string {
+	return c.BaseURL + "/v1/sessions/" + url.PathEscape(id)
 }

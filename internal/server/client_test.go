@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +15,12 @@ import (
 
 func TestClientEndToEnd(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 16})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 16}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	c := NewClient(srv.URL)
@@ -79,12 +81,12 @@ func TestClientEndToEnd(t *testing.T) {
 
 func TestClientQueriesNoContent(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 4})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 4}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 	ctx := context.Background()
@@ -93,65 +95,115 @@ func TestClientQueriesNoContent(t *testing.T) {
 	}
 }
 
-// TestClientTimeoutOption pins the configurable HTTP timeout: a client
-// whose Timeout is shorter than the handler's response time must fail,
-// one with a generous or disabled timeout must succeed, and the derived
-// http.Client is built once and reused across calls.
-func TestClientTimeoutOption(t *testing.T) {
+// TestClientLabelsInProgress: /labels answers 409 until the session is
+// done, and the client surfaces it as a *StatusError carrying the
+// server's error body.
+func TestClientLabelsInProgress(t *testing.T) {
+	ds := testDataset(t)
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 4}, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(sessionRoutes(s, nil))
+	defer srv.Close()
+	_, err = NewClient(srv.URL).Labels(context.Background())
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("labels before done: err = %v, want *StatusError 409", err)
+	}
+	if !strings.Contains(se.Msg, "in progress") {
+		t.Errorf("StatusError.Msg = %q, want the server's error body", se.Msg)
+	}
+}
+
+// slowServer answers every request with body after delay.
+func slowServer(t *testing.T, delay time.Duration, body string) *httptest.Server {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(200 * time.Millisecond)
-		w.Write([]byte(`{"experts": []}`)) //nolint:errcheck
+		time.Sleep(delay)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(body)) //nolint:errcheck
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// TestClientTimeoutOption pins the configurable request timeout through
+// requests against a 200ms handler: a shorter Timeout fails, a longer
+// one succeeds, a negative one leaves the per-call context as the only
+// deadline, and an explicit HTTPClient wins over Timeout either way.
+func TestClientTimeoutOption(t *testing.T) {
+	srv := slowServer(t, 200*time.Millisecond, `{"experts": []}`)
+	ctx := context.Background()
+
+	c := NewClient(srv.URL)
+	c.Timeout = 50 * time.Millisecond
+	if _, err := c.Experts(ctx); err == nil {
+		t.Error("50ms client survived a 200ms handler; the timeout option is not applied")
+	}
+	c.Timeout = 5 * time.Second
+	if _, err := c.Experts(ctx); err != nil {
+		t.Errorf("5s client failed against a 200ms handler: %v", err)
+	}
+
+	if resolveTimeout(0) != defaultClientTimeout || resolveTimeout(-1) != 0 {
+		t.Errorf("resolveTimeout(0, -1) = %v, %v; want %v, 0",
+			resolveTimeout(0), resolveTimeout(-1), defaultClientTimeout)
+	}
+	c.Timeout = -1 // negative disables the timeout entirely
+	if _, err := c.Experts(ctx); err != nil {
+		t.Errorf("no-timeout client failed: %v", err)
+	}
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if _, err := c.Experts(short); err == nil {
+		t.Error("no-timeout client ignored the per-call context deadline")
+	}
+
+	c.HTTPClient = &http.Client{Timeout: 5 * time.Second}
+	c.Timeout = time.Nanosecond
+	if _, err := c.Experts(ctx); err != nil {
+		t.Errorf("explicit HTTPClient not honored over a 1ns Timeout: %v", err)
+	}
+	c.HTTPClient = &http.Client{Timeout: 50 * time.Millisecond}
+	c.Timeout = 5 * time.Second
+	if _, err := c.Experts(ctx); err == nil {
+		t.Error("explicit HTTPClient's own 50ms timeout not applied")
+	}
+}
+
+// TestManagerClientSessionInheritsTransport: a session client minted by
+// ManagerClient.Session issues its requests with the manager client's
+// HTTPClient and Timeout.
+func TestManagerClientSessionInheritsTransport(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/sessions/moved/status":
+			http.Redirect(w, r, "/v1/sessions/here/status", http.StatusTemporaryRedirect)
+			return
+		case "/v1/sessions/slow/status":
+			time.Sleep(200 * time.Millisecond)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"done": true}`)) //nolint:errcheck
 	}))
 	defer srv.Close()
 	ctx := context.Background()
 
-	slow := NewClient(srv.URL)
-	slow.Timeout = 50 * time.Millisecond
-	if _, err := slow.Experts(ctx); err == nil {
-		t.Error("50ms client survived a 200ms handler; the timeout option is not applied")
-	}
-
-	patient := NewClient(srv.URL)
-	patient.Timeout = 5 * time.Second
-	if _, err := patient.Experts(ctx); err != nil {
-		t.Errorf("5s client failed against a 200ms handler: %v", err)
-	}
-
-	unlimited := NewClient(srv.URL)
-	unlimited.Timeout = -1 // negative disables the timeout entirely
-	if _, err := unlimited.Experts(ctx); err != nil {
-		t.Errorf("no-timeout client failed: %v", err)
-	}
-	if unlimited.http().Timeout != 0 {
-		t.Errorf("negative Timeout derived %v, want 0 (disabled)", unlimited.http().Timeout)
-	}
-
-	// The zero value keeps the historical 10s default, and the derived
-	// client is cached — repeated calls must reuse one instance so
-	// connection pooling works.
-	def := NewClient(srv.URL)
-	if got := def.http(); got.Timeout != defaultClientTimeout {
-		t.Errorf("default timeout = %v, want %v", got.Timeout, defaultClientTimeout)
-	} else if def.http() != got {
-		t.Error("derived http.Client not cached across calls")
-	}
-
-	// An explicit HTTPClient wins over Timeout.
-	custom := &http.Client{Timeout: time.Minute}
-	override := NewClient(srv.URL)
-	override.HTTPClient = custom
-	override.Timeout = time.Nanosecond
-	if override.http() != custom {
-		t.Error("explicit HTTPClient not honored over the Timeout option")
-	}
-
 	mc := NewManagerClient(srv.URL)
-	mc.Timeout = -1
-	if mc.http().Timeout != 0 {
-		t.Errorf("manager client negative Timeout derived %v, want 0", mc.http().Timeout)
+	if st, err := mc.Session("moved").Status(ctx); err != nil || !st.Done {
+		t.Fatalf("default client did not follow the redirect: %+v, %v", st, err)
 	}
-	if cl := mc.Session("s1"); cl.Timeout != mc.Timeout {
-		t.Errorf("Session() dropped the manager's Timeout: got %v, want %v", cl.Timeout, mc.Timeout)
+	mc.HTTPClient = noFollow()
+	var se *StatusError
+	if _, err := mc.Session("moved").Status(ctx); !errors.As(err, &se) || se.Code != http.StatusTemporaryRedirect {
+		t.Errorf("Session() dropped the manager's HTTPClient: err = %v, want *StatusError 307", err)
+	}
+
+	mc = NewManagerClient(srv.URL)
+	mc.Timeout = 50 * time.Millisecond
+	if _, err := mc.Session("slow").Status(ctx); err == nil {
+		t.Error("Session() dropped the manager's 50ms Timeout")
 	}
 }
 
@@ -173,43 +225,24 @@ func TestClientErrors(t *testing.T) {
 	}
 }
 
-// TestClientTimeoutChangeHonored is the regression test for the cached
-// derived client: before the fix it was built once (sync.Once) with
-// whatever Timeout held at first use, so a Timeout set afterwards was
-// silently ignored. Now a changed Timeout rebuilds the client — a
-// too-short deadline starts failing requests, and restoring it heals
-// them — while an unchanged one keeps reusing the same client.
+// TestClientTimeoutChangeHonored: Timeout is read per request, so a
+// shrunk deadline starts failing requests and restoring it heals them.
 func TestClientTimeoutChangeHonored(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(100 * time.Millisecond)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"sessions":[]}`))
-	}))
-	defer slow.Close()
+	srv := slowServer(t, 100*time.Millisecond, `{"sessions":[]}`)
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
-	mc := NewManagerClient(slow.URL)
+	mc := NewManagerClient(srv.URL)
 	mc.Timeout = 5 * time.Second
 	if _, err := mc.List(ctx); err != nil {
 		t.Fatalf("long timeout: %v", err)
 	}
-	first := mc.http()
-
 	mc.Timeout = 10 * time.Millisecond
 	if _, err := mc.List(ctx); err == nil {
 		t.Fatal("10ms timeout against a 100ms handler succeeded; shrunk Timeout ignored")
 	}
-	if mc.http() == first {
-		t.Error("changed Timeout did not rebuild the derived client")
-	}
-
 	mc.Timeout = 5 * time.Second
 	if _, err := mc.List(ctx); err != nil {
 		t.Fatalf("restored timeout: %v", err)
-	}
-	again := mc.http()
-	if mc.http() != again {
-		t.Error("unchanged Timeout rebuilt the derived client instead of caching it")
 	}
 }

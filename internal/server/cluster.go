@@ -76,7 +76,7 @@ type Cluster struct {
 	self    string
 	proxy   bool
 	logger  *log.Logger
-	httpc   *http.Client
+	push    transport           // source->target journal pushes
 	targets map[string]*url.URL // member -> base URL for the proxy
 	rproxy  *httputil.ReverseProxy
 	inner   http.Handler
@@ -108,11 +108,8 @@ func NewCluster(m *Manager, opts ClusterOptions) (*Cluster, error) {
 		self:   opts.Self,
 		proxy:  opts.Proxy,
 		logger: opts.Logger,
-		httpc:  opts.HTTPClient,
+		push:   transport{HTTPClient: opts.HTTPClient, Timeout: defaultHandoffTimeout},
 		inner:  m.Handler(),
-	}
-	if c.httpc == nil {
-		c.httpc = &http.Client{Timeout: defaultHandoffTimeout}
 	}
 	c.targets = make(map[string]*url.URL, len(ring.Members()))
 	for _, member := range ring.Members() {
@@ -328,21 +325,8 @@ func (c *Cluster) handoff(w http.ResponseWriter, r *http.Request) {
 // treats anything but 200 as a refusal.
 func (c *Cluster) pushHandoff(ctx context.Context, target, id string, data []byte) error {
 	u := memberURL(target) + "/v1/cluster/accept/" + url.PathEscape(id)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &StatusError{Path: u, Code: resp.StatusCode, Msg: string(msg)}
-	}
-	return nil
+	_, err := c.push.do(ctx, http.MethodPost, u, data, nil, http.StatusOK)
+	return err
 }
 
 // accept answers POST /v1/cluster/accept/{id}: the body is a complete

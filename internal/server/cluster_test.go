@@ -38,7 +38,7 @@ func uninterruptedRun(t *testing.T, ctx context.Context, ds *dataset.Dataset, sc
 		t.Fatal(err)
 	}
 	cfg := pipeline.Config{K: sc.K, Budget: sc.Budget, Init: agg, PriorCoupling: couple, Cost: cost}
-	ref, err := NewSessionOpts(ctx, ds, cfg, SessionOptions{CostAware: sc.CostAware})
+	ref, err := NewSession(ctx, ds, cfg, SessionOptions{CostAware: sc.CostAware})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,18 +22,21 @@ type AdmitTasksRequest struct {
 	Final     bool                `json:"final,omitempty"`
 }
 
-// Handler exposes a Session over HTTP:
+// sessionRoutes builds the per-session route set rooted at "/"; the
+// manager mounts it under /v1/sessions/{id}/ (and hcserve also serves
+// its default session at the root):
 //
 //	GET  /experts              -> {"experts": ["e0", "e1"]}
 //	GET  /queries?worker=e0    -> {"round": 3, "facts": [12, 40]} or 204
 //	POST /answers              <- {"round": 3, "worker": "e0", "values": [true, false]}
+//	POST /tasks                <- AdmitTasksRequest (streaming sessions)
 //	GET  /status               -> Status JSON
 //	GET  /labels               -> {"labels": [...]} once done, 409 before
 //	GET  /checkpoint           -> warm pipeline checkpoint JSON, 204 before
 //	                              the first round completes
 //	GET  /metrics              -> the session's metrics snapshot (JSON)
 //
-// All bodies are JSON. The handler is safe for concurrent clients, and
+// All bodies are JSON. The routes are safe for concurrent clients, and
 // every route is instrumented: request counts and latency per route,
 // in-flight gauge, and panic recovery to a JSON 500. Requests with the
 // wrong method get 405 Method Not Allowed (with an Allow header),
@@ -41,32 +44,8 @@ type AdmitTasksRequest struct {
 // round is closed or the answer is otherwise rejected, 410 once the
 // session has finished, 503 while the service drains. The checkpoint
 // endpoint lets an operator persist the session's progress and later
-// restart the job with NewSessionResume (or hcrowd.Resume) without
-// re-asking the experts anything.
-//
-// Handler is a thin wrapper over a one-entry Manager: the same routes
-// the manager serves under /v1/sessions/{id}/ are mounted at the root
-// for the single adopted session.
-func Handler(s *Session) http.Handler {
-	return HandlerLogged(s, nil)
-}
-
-// HandlerLogged is Handler with a logger for handler panics and response
-// write failures; nil logger silences them (panics are still recovered
-// and counted in the metrics).
-func HandlerLogged(s *Session, logger *log.Logger) http.Handler {
-	m := NewManager(ManagerOptions{Logger: logger})
-	h, err := m.Adopt("default", s)
-	if err != nil {
-		// A fresh one-entry manager cannot collide or be draining.
-		panic("server: adopting into fresh manager: " + err.Error())
-	}
-	return h
-}
-
-// sessionRoutes builds the per-session route set rooted at "/". The
-// manager mounts it under /v1/sessions/{id}/; the legacy Handler serves
-// it directly.
+// restart the job with NewSession's SessionOptions.Checkpoint (or
+// hcrowd.Resume) without re-asking the experts anything.
 func sessionRoutes(s *Session, logger *log.Logger) http.Handler {
 	rt := newRouter(s.Metrics().http, logger)
 	h := &httpHandler{s: s, rt: rt}

@@ -89,7 +89,7 @@ func TestMiddlewarePanicRecovery(t *testing.T) {
 // http_method_rejected_total.
 func TestMethodNotAllowed(t *testing.T) {
 	s := newTestSession(t, 4)
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	cases := []struct {
@@ -146,7 +146,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // per-(route, code) counters and latency histograms fill in.
 func TestMiddlewareCountsRoutes(t *testing.T) {
 	s := newTestSession(t, 4)
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 	for i := 0; i < 3; i++ {
 		resp, err := http.Get(srv.URL + "/status")
@@ -179,12 +179,12 @@ func TestMiddlewareCountsRoutes(t *testing.T) {
 // pipeline/selector counters.
 func TestMetricsEndpointEndToEnd(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 8})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 8}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	c := NewClient(srv.URL)
@@ -286,7 +286,7 @@ func (w *stallingWriter) Write(p []byte) (int, error) {
 // engine).
 func TestLabelsSlowClientDoesNotHoldSessionLock(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 4})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 4}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestLabelsSlowClientDoesNotHoldSessionLock(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		Handler(s).ServeHTTP(w, httptest.NewRequest("GET", "/labels", nil))
+		sessionRoutes(s, nil).ServeHTTP(w, httptest.NewRequest("GET", "/labels", nil))
 	}()
 
 	select {

@@ -103,7 +103,7 @@ func recoverRoundTrip(t *testing.T, costAware bool, crashAt int) {
 		t.Fatal(err)
 	}
 	refCfg := pipeline.Config{K: sc.K, Budget: sc.Budget, Init: agg, PriorCoupling: couple, Cost: cost}
-	ref, err := NewSessionOpts(ctx, ds, refCfg, SessionOptions{CostAware: costAware})
+	ref, err := NewSession(ctx, ds, refCfg, SessionOptions{CostAware: costAware})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestRecoverV0CheckpointColdResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 3, Init: agg, PriorCoupling: couple})
+	ref, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 3, Init: agg, PriorCoupling: couple}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestStragglerAfterRoundCompleteRejected(t *testing.T) {
 	// closes with only one answer (spend 1), the remaining 1 cannot fund
 	// another pick and the run ends — making the consumed family directly
 	// observable in BudgetSpent.
-	s, err := NewSessionOpts(context.Background(), ds,
+	s, err := NewSession(context.Background(), ds,
 		pipeline.Config{K: 1, Budget: 2}, SessionOptions{RoundTimeout: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -115,14 +115,14 @@ func TestStragglerAfterRoundCompleteRejected(t *testing.T) {
 func TestAnswerLoopSurvivesRoundConflict(t *testing.T) {
 	ds := testDataset(t)
 	logBuf := &syncBuffer{}
-	s, err := NewSessionOpts(context.Background(), ds,
+	s, err := NewSession(context.Background(), ds,
 		pipeline.Config{K: 1, Budget: 8},
 		SessionOptions{RoundTimeout: 25 * time.Millisecond, Logger: log.New(logBuf, "", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 	experts := s.Experts()
 	fast, slow := experts[0], experts[1]
@@ -242,12 +242,12 @@ func TestConcurrentManyExpertSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 2, Budget: 36})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 2, Budget: 36}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	c := NewClient(srv.URL)

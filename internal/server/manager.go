@@ -271,7 +271,7 @@ func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, op
 	} else {
 		cfg.Metrics = sink
 	}
-	s, err := NewSessionOpts(m.baseCtx, ds, cfg, opts)
+	s, err := NewSession(m.baseCtx, ds, cfg, opts)
 	if err != nil {
 		discardFresh()
 		m.metrics.forgetSession(id)
@@ -467,23 +467,6 @@ func (m *Manager) recoverOne(path string) (string, error) {
 		return "", err
 	}
 	return id, nil
-}
-
-// Adopt registers an externally constructed, already-running session —
-// the legacy single-session Handler is exactly a one-entry manager over
-// an adopted session. The returned handler is the session's route set
-// rooted at "/" (the same routes the manager serves under
-// /v1/sessions/{id}/). Adopted sessions bypass the concurrency gate:
-// their engine is already running.
-func (m *Manager) Adopt(id string, s *Session) (http.Handler, error) {
-	if !sessionIDPattern.MatchString(id) {
-		return nil, fmt.Errorf("server: invalid session id %q (want %s)", id, sessionIDPattern)
-	}
-	ms := &managedSession{id: id, s: s, state: StateRunning}
-	if err := m.register(ms); err != nil {
-		return nil, err
-	}
-	return ms.routes, nil
 }
 
 // register installs the record, builds its route set and starts the
@@ -687,8 +670,7 @@ func (m *Manager) Get(id string) (*Session, bool) {
 // SessionHandler returns one session's route set rooted at "/" — the
 // same handler the manager serves under /v1/sessions/{id}/. hcserve
 // mounts the default session's routes at the server root with it, so
-// the legacy single-session API and the /v1 API address the same
-// session.
+// the root routes and the /v1 API address the same session.
 func (m *Manager) SessionHandler(id string) (http.Handler, bool) {
 	m.mu.Lock()
 	ms, ok := m.sessions[id]

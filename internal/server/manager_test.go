@@ -124,7 +124,7 @@ func TestManagerMultiSessionDeterministicGivenSeed(t *testing.T) {
 		}
 		ref, err := NewSession(ctx, sp.refDS, pipeline.Config{
 			K: sp.k, Budget: sp.budget, Init: agg, PriorCoupling: couple,
-		})
+		}, SessionOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestManagerDrainCheckpointDeterministicGivenSeed(t *testing.T) {
 	loopCtx, stopLoops := context.WithCancel(ctx)
 	defer stopLoops()
 	var wg sync.WaitGroup
-	sc := NewSessionClient(srv.URL, id)
+	sc := NewManagerClient(srv.URL).Session(id)
 	for _, w := range s.Experts() {
 		wg.Add(1)
 		go func(w string) {
@@ -318,7 +318,7 @@ func TestManagerDrainCheckpointDeterministicGivenSeed(t *testing.T) {
 	}
 
 	// The checkpoint warm-resumes into a fresh session.
-	resumed, err := NewSessionResume(ctx, ds, pipeline.Config{K: 1, Budget: ck.BudgetSpent + 8}, ck)
+	resumed, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: ck.BudgetSpent + 8}, SessionOptions{Checkpoint: ck})
 	if err != nil {
 		t.Fatalf("resume from drained checkpoint: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestSessionCheckpointResume(t *testing.T) {
 	ctx := context.Background()
 	ds := testDataset(t)
-	s1, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 8})
+	s1, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 8}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSessionCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := NewSessionResume(ctx, ds, pipeline.Config{K: 1, Budget: 16}, ck2)
+	s2, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 16}, SessionOptions{Checkpoint: ck2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,6 @@ func TestSessionCheckpointResume(t *testing.T) {
 	if res2.Quality < res1.Quality {
 		t.Errorf("quality regressed across resume: %v -> %v", res1.Quality, res2.Quality)
 	}
-
-	if _, err := NewSessionResume(ctx, ds, pipeline.Config{K: 1, Budget: 16}, nil); err == nil {
-		t.Error("nil checkpoint accepted")
-	}
 }
 
 // TestHTTPCheckpointEndpoint: 204 before the first round completes, a
@@ -80,12 +76,12 @@ func TestSessionCheckpointResume(t *testing.T) {
 func TestHTTPCheckpointEndpoint(t *testing.T) {
 	ctx := context.Background()
 	ds := testDataset(t)
-	s, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 4})
+	s, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: 4}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/checkpoint")

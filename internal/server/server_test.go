@@ -29,7 +29,7 @@ func testDataset(t *testing.T) *dataset.Dataset {
 func newTestSession(t *testing.T, budget float64) *Session {
 	t.Helper()
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: budget})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: budget}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func answerAll(s *Session, ds *dataset.Dataset) error {
 
 func TestSessionEndToEnd(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 20})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 1, Budget: 20}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,12 @@ func TestSessionCloseUnblocks(t *testing.T) {
 
 func TestHTTPEndToEnd(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 2, Budget: 12})
+	s, err := NewSession(context.Background(), ds, pipeline.Config{K: 2, Budget: 12}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	get := func(path string, v any) int {
@@ -281,7 +281,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 func TestHTTPErrors(t *testing.T) {
 	s := newTestSession(t, 4)
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(sessionRoutes(s, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/queries")
@@ -315,7 +315,7 @@ func TestNewSessionValidation(t *testing.T) {
 	ds := testDataset(t)
 	broken := *ds
 	broken.Theta = 0.999 // no experts
-	if _, err := NewSession(context.Background(), &broken, pipeline.Config{K: 1, Budget: 4}); err == nil {
+	if _, err := NewSession(context.Background(), &broken, pipeline.Config{K: 1, Budget: 4}, SessionOptions{}); err == nil {
 		t.Error("no-expert dataset accepted")
 	}
 }
@@ -331,8 +331,8 @@ func TestSessionExpertsStable(t *testing.T) {
 
 func TestRoundTimeoutProceedsWithPartialAnswers(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSessionTimeout(context.Background(), ds,
-		pipeline.Config{K: 1, Budget: 6}, 30*time.Millisecond)
+	s, err := NewSession(context.Background(), ds,
+		pipeline.Config{K: 1, Budget: 6}, SessionOptions{RoundTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,8 @@ func TestRoundTimeoutProceedsWithPartialAnswers(t *testing.T) {
 
 func TestRoundTimeoutKeepsEmptyRoundOpen(t *testing.T) {
 	ds := testDataset(t)
-	s, err := NewSessionTimeout(context.Background(), ds,
-		pipeline.Config{K: 1, Budget: 4}, 20*time.Millisecond)
+	s, err := NewSession(context.Background(), ds,
+		pipeline.Config{K: 1, Budget: 4}, SessionOptions{RoundTimeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

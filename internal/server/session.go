@@ -189,40 +189,11 @@ type stagedAdmit struct {
 
 // NewSession starts the pipeline on ds with cfg; cfg.Source is replaced
 // by the session's answer queue. The loop runs until the budget is
-// exhausted, the context is cancelled, or Close is called.
-func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config) (*Session, error) {
-	return NewSessionTimeout(ctx, ds, cfg, 0)
-}
-
-// NewSessionTimeout is NewSession with a per-round timeout: a round that
-// has collected at least one answer when the deadline passes proceeds
-// with that partial family (the budget is charged only for answers
-// actually received).
-func NewSessionTimeout(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, roundTimeout time.Duration) (*Session, error) {
-	return NewSessionOpts(ctx, ds, cfg, SessionOptions{RoundTimeout: roundTimeout})
-}
-
-// NewSessionResume starts a session from a pipeline checkpoint (see
-// Session.Checkpoint and pipeline.ReadCheckpoint): the loop continues
-// with the checkpointed beliefs, spend, stop votes and — when present —
-// the selection cache, so no unchanged task is re-scanned. cfg.Budget is
-// the job's total budget, of which the checkpoint's spend is consumed.
-func NewSessionResume(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, c *pipeline.Checkpoint) (*Session, error) {
-	return NewSessionResumeTimeout(ctx, ds, cfg, c, 0)
-}
-
-// NewSessionResumeTimeout is NewSessionResume with a per-round timeout.
-func NewSessionResumeTimeout(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, c *pipeline.Checkpoint, roundTimeout time.Duration) (*Session, error) {
-	if c == nil {
-		return nil, errors.New("server: nil checkpoint")
-	}
-	return NewSessionOpts(ctx, ds, cfg, SessionOptions{RoundTimeout: roundTimeout, Checkpoint: c})
-}
-
-// NewSessionOpts is the general constructor; the fixed-signature
-// constructors above delegate here. opts.Checkpoint non-nil resumes
-// instead of starting fresh.
-func NewSessionOpts(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, opts SessionOptions) (*Session, error) {
+// exhausted, the context is cancelled, or Close is called. A non-nil
+// opts.Checkpoint resumes the job from that warm checkpoint (beliefs,
+// spend, stop votes and selection cache); cfg.Budget is then the job's
+// total budget, of which the checkpoint's spend is already consumed.
+func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, opts SessionOptions) (*Session, error) {
 	c := opts.Checkpoint
 	if err := ds.Validate(); err != nil {
 		return nil, err

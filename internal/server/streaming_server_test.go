@@ -153,7 +153,7 @@ func streamingRecoverRoundTrip(t *testing.T, costAware bool) {
 		K: sc.K, Budget: sc.Budget, BudgetWindow: sc.BudgetWindow,
 		Init: agg, PriorCoupling: couple, Cost: cost,
 	}
-	ref, err := NewSessionOpts(ctx, refDS, refCfg, SessionOptions{CostAware: costAware})
+	ref, err := NewSession(ctx, refDS, refCfg, SessionOptions{CostAware: costAware})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestAdmitTasksStateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSessionOpts(ctx, ds, pipeline.Config{
+	s, err := NewSession(ctx, ds, pipeline.Config{
 		K: 1, Budget: 6, BudgetWindow: 5, Init: agg, PriorCoupling: couple,
 	}, SessionOptions{})
 	if err != nil {
@@ -422,7 +422,7 @@ func TestStreamingDrainParkedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSessionOpts(ctx, ds, pipeline.Config{
+	s, err := NewSession(ctx, ds, pipeline.Config{
 		K: 1, Budget: 6, BudgetWindow: 5, Init: agg, PriorCoupling: couple,
 	}, SessionOptions{})
 	if err != nil {
