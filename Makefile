@@ -30,13 +30,15 @@ lint-fixtures:
 
 # Short fuzz pass over every fuzz target (one -fuzz run per target, 5s
 # each): checkpoint decode/round-trip, the journal frame decoder, the
-# mathx entropy/log-domain kernels, and the dataset CSV/JSON loaders.
+# mathx entropy/log-domain kernels, the family-entropy enumerator against
+# its scalar oracles, and the dataset CSV/JSON loaders.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz 'FuzzCheckpointRoundTrip$$' -fuzztime 5s ./internal/pipeline/
 	$(GO) test -run xxx -fuzz 'FuzzJournalReplay$$' -fuzztime 5s ./internal/journal/
 	$(GO) test -run xxx -fuzz 'FuzzLogSumExp$$' -fuzztime 5s ./internal/mathx/
 	$(GO) test -run xxx -fuzz 'FuzzEntropy$$' -fuzztime 5s ./internal/mathx/
 	$(GO) test -run xxx -fuzz 'FuzzBatchKernels$$' -fuzztime 5s ./internal/mathx/
+	$(GO) test -run xxx -fuzz 'FuzzFamilyEntropy$$' -fuzztime 5s ./internal/taskselect/
 	$(GO) test -run xxx -fuzz 'FuzzReadAnswersCSV$$' -fuzztime 5s ./internal/dataset/
 	$(GO) test -run xxx -fuzz 'FuzzReadDataset$$' -fuzztime 5s ./internal/dataset/
 

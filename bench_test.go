@@ -97,15 +97,16 @@ func benchDataset(b *testing.B) *hcrowd.Dataset {
 	return ds
 }
 
+// benchPanel is the two-expert symmetric panel of the evaluator benchmarks.
+var benchPanel = hcrowd.Crowd{{ID: "e0", Accuracy: 0.9}, {ID: "e1", Accuracy: 0.95}}
+
 // Ablation: the optimized conditional-entropy evaluator vs the textbook
 // definition (identical results, different asymptotics — see DESIGN.md).
-func benchCondEntropy(b *testing.B, naive bool) {
+func benchCondEntropy(b *testing.B, experts hcrowd.Crowd, facts []int, naive bool) {
 	d, err := hcrowd.BeliefFromJoint(randomJoint(64))
 	if err != nil {
 		b.Fatal(err)
 	}
-	experts := hcrowd.Crowd{{ID: "e0", Accuracy: 0.9}, {ID: "e1", Accuracy: 0.95}}
-	facts := []int{0, 2, 4}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,8 +123,26 @@ func benchCondEntropy(b *testing.B, naive bool) {
 	}
 }
 
-func BenchmarkCondEntropyFast(b *testing.B)  { benchCondEntropy(b, false) }
-func BenchmarkCondEntropyNaive(b *testing.B) { benchCondEntropy(b, true) }
+// BenchmarkCondEntropyFast times one evaluation per crowd model and
+// query-set size s, from the 4-family singleton shape of the engines'
+// round-start rescans up to 64 families.
+func BenchmarkCondEntropyFast(b *testing.B) {
+	asym := hcrowd.Crowd{{ID: "e0", TPR: 0.9, TNR: 0.8}, {ID: "e1", TPR: 0.85, TNR: 0.95}}
+	for _, bc := range []struct {
+		name  string
+		ce    hcrowd.Crowd
+		facts []int
+	}{
+		{"sym/s=1_w=2", benchPanel, []int{0}},
+		{"sym/s=2_w=2", benchPanel, []int{0, 2}},
+		{"sym/s=3_w=2", benchPanel, []int{0, 2, 4}},
+		{"asym/s=1_w=2", asym, []int{0}},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchCondEntropy(b, bc.ce, bc.facts, false) })
+	}
+}
+
+func BenchmarkCondEntropyNaive(b *testing.B) { benchCondEntropy(b, benchPanel, []int{0, 2, 4}, true) }
 
 func randomJoint(n int) []float64 {
 	rng := hcrowd.NewRand(11)
@@ -454,22 +473,27 @@ func BenchmarkCatDS(b *testing.B) {
 }
 
 // BenchmarkCondEntropyAssign measures the generalized per-assignment
-// conditional entropy next to the uniform-panel evaluator.
+// conditional entropy next to the uniform-panel evaluator, at n answer
+// units (2^n families).
 func BenchmarkCondEntropyAssign(b *testing.B) {
 	d, err := hcrowd.BeliefFromJoint(randomJoint(32))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ce := hcrowd.Crowd{{ID: "e0", Accuracy: 0.9}, {ID: "e1", Accuracy: 0.95}}
-	assigns := []taskselect.Assign{
+	ce := benchPanel
+	all := []taskselect.Assign{
 		{Fact: 0, Worker: ce[0]}, {Fact: 2, Worker: ce[0]},
 		{Fact: 0, Worker: ce[1]}, {Fact: 4, Worker: ce[1]},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := taskselect.CondEntropyAssign(d, assigns); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1, 2, 4} {
+		assigns := all[:n]
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := taskselect.CondEntropyAssign(d, assigns); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,12 +1,13 @@
 package mathx
 
 // Batched kernels for the entropy hot path. Each one is a plain loop over
-// a slice, written so its accumulation order is exactly the order the
-// scalar call sites used — callers that replace an element-at-a-time loop
-// with one of these get bitwise-identical results, which is what lets the
-// incremental selection engines switch between scalar and batched
-// evaluation paths without perturbing pick-identity. Keeping them as
-// whole-vector loops (no branches beyond the XLogX zero guard, no
+// a slice, written so its accumulation order is exactly the order an
+// element-at-a-time loop uses — callers that replace such a loop with one
+// of these get bitwise-identical results. That is what lets the
+// family-entropy enumerator in taskselect, built on OuterMul and AddTo,
+// reproduce bit for bit the scalar family sweeps its tests keep as
+// oracles, and so leave the selection engines' picks unchanged. Keeping
+// them as whole-vector loops (no branches beyond the XLogX zero guard, no
 // index arithmetic) also gives the compiler straight-line code it can
 // keep in registers.
 
@@ -25,8 +26,7 @@ func XLogXSum(x []float64) float64 {
 // scalar loop `h -= XLogX(v)` would — bitwise identical to it, including
 // the rounding of each partial sum. Unlike Entropy it does not clamp
 // small negative rounding residue to zero; callers that fold the result
-// into a larger expression (the conditional-entropy cores) clamp at the
-// end themselves.
+// into a larger expression clamp at the end themselves.
 func EntropySum(x []float64) float64 {
 	var h float64
 	for _, v := range x {

@@ -65,8 +65,8 @@ func FuzzLogSumExp(f *testing.F) {
 // non-negative 4-vectors, XLogXSum and EntropySum must equal the
 // element-at-a-time loops bit for bit (same partial-sum rounding), and
 // OuterMul must equal the nested scalar products. This is the contract
-// that lets the selection engines switch between scalar and batched
-// family enumeration without perturbing pick-identity.
+// that lets taskselect's family-entropy enumerator match its scalar
+// oracle sweeps bit for bit, and so keep the selection engines' picks.
 func FuzzBatchKernels(f *testing.F) {
 	f.Add(0.25, 0.25, 0.25, 0.25)
 	f.Add(0.0, 1.0, 0.0, 1.0)

@@ -81,7 +81,9 @@ func CondEntropyAssign(d *belief.Dist, assigns []Assign) (float64, error) {
 		pYes[i][0] = 1 - a.Worker.PCorrect(false)
 		pos[i] = factPos[a.Fact]
 	}
-	return condEntropyAssignCore(d.Entropy(), q, pYes, pos), nil
+	sc := getScratch()
+	defer putScratch(sc)
+	return condEntropyAssignCore(sc, d.Entropy(), q, pYes, pos), nil
 }
 
 // condEntropyAssignCore is the evaluation half of CondEntropyAssign,
@@ -90,21 +92,16 @@ func CondEntropyAssign(d *belief.Dist, assigns []Assign) (float64, error) {
 // arithmetic is identical to the inline form, so memoized and fresh
 // evaluations agree bitwise; pos[i] is the bit position of assign i's
 // fact in q's pattern space. It bumps the package eval counter — the
-// cost unit the incremental-assignment benchmarks compare by.
-func condEntropyAssignCore(entropy float64, q []float64, pYes [][2]float64, pos []int) float64 {
+// cost unit the incremental-assignment benchmarks compare by. sc
+// supplies the enumerator's buffers and must not be in use by another
+// evaluation; pYes and pos may live in its pyes and pos.
+func condEntropyAssignCore(sc *evalScratch, entropy float64, q []float64, pYes [][2]float64, pos []int) float64 {
 	evalCount.Add(1)
-
 	n := len(pos)
-	var hAS float64
-	if nFam := 1 << uint(n); nFam >= minBatchFam && nFam <= maxBatchFam {
-		hAS = assignFamilyEntropyBatch(q, pYes, pos)
-	} else {
-		hAS = assignFamilyEntropyScalar(q, pYes, pos)
-	}
+	hAS := assignFamilyEntropy(sc, q, pYes, pos, famBlock)
 
 	// H(AS|O) = Σ_p q(p) Σ_i h(P(assign i answers yes | p)); the per-unit
 	// Bernoulli entropies are computed once up front.
-	sc := corePool.Get().(*coreScratch)
 	sc.hB = grow(sc.hB, n)
 	hB := sc.hB
 	for i := 0; i < n; i++ {
@@ -122,7 +119,6 @@ func condEntropyAssignCore(entropy float64, q []float64, pYes [][2]float64, pos 
 		}
 		hASgivenO += qp * hp
 	}
-	corePool.Put(sc)
 
 	h := entropy - hAS + hASgivenO
 	if h < 0 {
@@ -131,76 +127,17 @@ func condEntropyAssignCore(entropy float64, q []float64, pYes [][2]float64, pos 
 	return h
 }
 
-// assignFamilyEntropyScalar is the constant-space family sweep over the
-// 2^n yes/no outcome vectors of the assigned answer variables.
-func assignFamilyEntropyScalar(q []float64, pYes [][2]float64, pos []int) float64 {
-	n := len(pos)
-	var hAS float64
-	nFam := 1 << uint(n)
-	for fam := 0; fam < nFam; fam++ {
-		var pA float64
-		for p, qp := range q {
-			if qp == 0 {
-				continue
-			}
-			like := qp
-			for i := 0; i < n; i++ {
-				tv := (p >> uint(pos[i])) & 1
-				py := pYes[i][tv]
-				if fam&(1<<uint(i)) != 0 {
-					like *= py
-				} else {
-					like *= 1 - py
-				}
-			}
-			pA += like
+// assignFamilyEntropy is H(AS) over the 2^n yes/no outcome vectors of the
+// assigned answer variables: unit i is family bit i, with the two-point
+// factor vector [1−py, py] for py = P(yes | its fact's truth in p).
+func assignFamilyEntropy(sc *evalScratch, q []float64, pYes [][2]float64, pos []int, block int) float64 {
+	return familyEntropy(sc, q, len(pos), 1, block, func(dst []float64, i, off, p int) {
+		py := pYes[i][(p>>uint(pos[i]))&1]
+		v := [2]float64{1 - py, py}
+		for j := range dst {
+			dst[j] = v[off+j]
 		}
-		hAS -= mathx.XLogX(pA)
-	}
-	return hAS
-}
-
-// assignFamilyEntropyBatch computes the same H(AS) pattern-outside: for
-// each projection pattern the per-unit two-point factor vectors [1-py,
-// py] expand by OuterMul (unit i's answer is family bit i, so each new
-// unit lands in the high bit of the partial index), the expansion adds
-// into the per-family accumulator, and EntropySum folds it. Bitwise
-// identical to the scalar sweep for the same reasons as
-// symFamilyEntropyBatch: commutative per-node products in the same chain
-// shape, pattern-order accumulation, and the same XLogX fold.
-func assignFamilyEntropyBatch(q []float64, pYes [][2]float64, pos []int) float64 {
-	n := len(pos)
-	sc := corePool.Get().(*coreScratch)
-	nFam := 1 << uint(n)
-	sc.pAs = grow(sc.pAs, nFam)
-	sc.ta = grow(sc.ta, nFam)
-	sc.tb = grow(sc.tb, nFam)
-	sc.v = grow(sc.v, 2)
-	pAs, v := sc.pAs, sc.v[:2]
-	for i := range pAs {
-		pAs[i] = 0
-	}
-	for p, qp := range q {
-		if qp == 0 {
-			continue
-		}
-		spare := sc.tb
-		cur := sc.ta[:1]
-		cur[0] = qp
-		for i := 0; i < n; i++ {
-			py := pYes[i][(p>>uint(pos[i]))&1]
-			v[0] = 1 - py
-			v[1] = py
-			dst := spare[:2*len(cur)]
-			mathx.OuterMul(dst, v, cur)
-			spare = cur[:cap(cur)]
-			cur = dst
-		}
-		mathx.AddTo(pAs, cur)
-	}
-	hAS := mathx.EntropySum(pAs)
-	corePool.Put(sc)
-	return hAS
+	})
 }
 
 // AssignSelector chooses assignment units — (task, fact, worker)

@@ -127,7 +127,7 @@ func (s *AssignState) condEntropy(sc *evalScratch, tc *taskCache, d *belief.Dist
 		sc.pyes[i] = s.pYes[u.col]
 		sc.pos[i] = slices.Index(facts, u.fact)
 	}
-	return condEntropyAssignCore(tc.entropy, q, sc.pyes, sc.pos), nil
+	return condEntropyAssignCore(sc, tc.entropy, q, sc.pyes, sc.pos), nil
 }
 
 // scan implements scorer, evaluating every unfrozen (fact, worker) unit

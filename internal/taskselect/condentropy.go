@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"hcrowd/internal/belief"
@@ -121,10 +120,18 @@ func likelihoodTables(ce crowd.Crowd, s int) [][]float64 {
 // only through its projection onto T, and given that pattern every answer
 // is an independent Bernoulli with the worker's accuracy. This removes the
 // 2^m factor from the family enumeration; CondEntropyNaive retains the
-// textbook form and the tests assert both agree.
+// textbook form and the tests assert both agree. Both reject a crowd with
+// a worker that fails Worker.Validate.
 func CondEntropy(d *belief.Dist, ce crowd.Crowd, facts []int) (float64, error) {
 	if len(ce) == 0 {
 		return 0, ErrNoExperts
+	}
+	asym := false
+	for _, wk := range ce {
+		if err := wk.Validate(); err != nil {
+			return 0, err
+		}
+		asym = asym || wk.Asymmetric()
 	}
 	if err := validateQuerySet(d, facts); err != nil {
 		return 0, err
@@ -137,14 +144,13 @@ func CondEntropy(d *belief.Dist, ce crowd.Crowd, facts []int) (float64, error) {
 	if s*w > maxFamilyBits {
 		return 0, fmt.Errorf("%w: |T|=%d × |CE|=%d", ErrTooLarge, s, w)
 	}
-	for _, wk := range ce {
-		if wk.Asymmetric() {
-			return condEntropyAsym(d, ce, facts)
-		}
-	}
 	q := projection(d, facts)
-	tables := likelihoodTables(ce, s)
-	return condEntropySymCore(d.Entropy(), q, tables, symAnswerEntropy(ce), s, w), nil
+	sc := getScratch()
+	defer putScratch(sc)
+	if asym {
+		return condEntropyAsymCore(sc, d.Entropy(), q, asymYesTable(ce), s, w), nil
+	}
+	return condEntropySymCore(sc, d.Entropy(), q, likelihoodTables(ce, s), symAnswerEntropy(ce), s, w), nil
 }
 
 // symAnswerEntropy returns Σ_cr h(Pr_cr), the per-query answer entropy of
@@ -158,28 +164,84 @@ func symAnswerEntropy(ce crowd.Crowd) float64 {
 	return h
 }
 
-// Batched-enumeration size window. Both family-entropy paths compute the
-// identical floats (see the symFamilyEntropyBatch comment), so the
-// threshold is purely a performance knob: below minBatchFam the batch
-// path's buffer setup outweighs its fused loops (the rescans' singleton
-// query sets live here), above maxBatchFam the 2^(s·w) accumulation
-// vector would claim tens of megabytes, so the constant-space scalar
-// sweep takes over up to the maxFamilyBits refusal.
-const (
-	minBatchFam = 16
-	maxBatchFam = 1 << 20
-)
+// famBlock is the most answer families the enumerator holds at once: its
+// accumulator and two tensor buffers are each famBlock floats (8 MiB), and
+// larger family spaces, up to the maxFamilyBits refusal, are walked block
+// by block in constant space.
+const famBlock = 1 << 20
 
-// coreScratch holds the batched family enumeration's working vectors: the
-// per-family accumulator pAs, the ping-pong tensor buffers ta/tb, the
-// per-variable factor vector v, and the per-variable Bernoulli entropy
-// table hB. Pool-managed so steady-state evaluations allocate nothing.
-type coreScratch struct {
-	pAs, ta, tb, v []float64
-	hB             [][2]float64
+// unitFill writes into dst the likelihood factors of one answer unit's
+// answer patterns off, off+1, …, off+len(dst)−1 given the projection
+// pattern p. The enumerator calls it with len(dst) a power of two and off
+// a multiple of len(dst).
+type unitFill func(dst []float64, unit, off, p int)
+
+// familyEntropy returns H(AS) = −Σ_A P(A)·ln P(A) over the 2^(units·k)
+// answer families, where unit u's k-bit answer pattern a_u occupies family
+// bits [u·k, (u+1)·k) and P(A) = Σ_p q[p] · Π_u f_u(a_u | p), with the
+// factors f_u supplied by fill.
+//
+// It runs the loops pattern-outside: for each pattern p with q[p] ≠ 0 it
+// expands the units' factor vectors into the family tensor by repeated
+// OuterMul (each unit lands in the high bits of the partial index) and
+// adds the expansion into the per-family accumulator, which is then
+// folded with −Σ XLogX. A space larger than block families is walked in
+// contiguous, aligned blocks of block families (a power of two): within
+// a block, a unit whose bits lie below the block's bits contributes its
+// whole vector, a unit above them the one entry the block fixes, and the
+// unit straddling the boundary the aligned slice the block covers.
+//
+// The result is bitwise the family-outside sweep
+// `for A { pA = Σ_p q[p]·Π_u f_u; h −= XLogX(pA) }` (the tests keep that
+// sweep as the oracle) at every block size: every family's product chain
+// f_{units−1}·(…·(f_0·q[p])) is the sweep's ((q[p]·f_0)·…)·f_{units−1}
+// term for term, since IEEE-754 multiplication is commutative per
+// operation; AddTo sums each family's terms in the same ascending pattern
+// order; and the blocks fold into one running sum in family order. Block
+// size 1 is the constant-space sweep itself.
+func familyEntropy(sc *evalScratch, q []float64, units, k, block int, fill unitFill) float64 {
+	nFam := 1 << uint(units*k)
+	block = min(block, nFam)
+	sc.acc = grow(sc.acc, block)
+	sc.ta = grow(sc.ta, block)
+	sc.tb = grow(sc.tb, block)
+	sc.v = grow(sc.v, min(1<<uint(k), block))
+	acc := sc.acc
+	var h float64
+	for base := 0; base < nFam; base += block {
+		clear(acc)
+		for p, qp := range q {
+			if qp != 0 {
+				mathx.AddTo(acc, expandPattern(sc, qp, p, units, k, base, block, fill))
+			}
+		}
+		for _, pA := range acc {
+			h -= mathx.XLogX(pA)
+		}
+	}
+	return h
 }
 
-var corePool = sync.Pool{New: func() any { return new(coreScratch) }}
+// expandPattern returns, in sc.ta or sc.tb, the likelihoods
+// qp · Π_u f_u(a_u | p) of the block families base, …, base+block−1. It
+// is split from familyEntropy so the accumulate and fold loops there
+// keep their counters in registers.
+func expandPattern(sc *evalScratch, qp float64, p, units, k, base, block int, fill unitFill) []float64 {
+	blockBits := bits.TrailingZeros(uint(block))
+	spare := sc.tb
+	cur := sc.ta[:1]
+	cur[0] = qp
+	for u := 0; u < units; u++ {
+		span := min(k, max(blockBits-u*k, 0)) // unit u's bits inside the block
+		v := sc.v[:1<<uint(span)]
+		fill(v, u, (base>>uint(u*k))&(1<<uint(k)-1), p)
+		dst := spare[:len(v)*len(cur)]
+		mathx.OuterMul(dst, v, cur)
+		spare = cur[:cap(cur)]
+		cur = dst
+	}
+	return cur
+}
 
 // condEntropySymCore evaluates H(O|AS) for a symmetric crowd from the
 // precomputed pieces: the task entropy H(O), the projection q of the
@@ -187,17 +249,11 @@ var corePool = sync.Pool{New: func() any { return new(coreScratch) }}
 // and the crowd's per-query answer entropy. Splitting the evaluation from
 // the setup lets SelectionState memoize the crowd tables across calls;
 // the arithmetic is identical to the inline form, so memoized and fresh
-// evaluations agree bitwise.
-func condEntropySymCore(entropy float64, q []float64, tables [][]float64, hPerQuery float64, s, w int) float64 {
+// evaluations agree bitwise. sc supplies the enumerator's buffers and
+// must not be in use by another evaluation.
+func condEntropySymCore(sc *evalScratch, entropy float64, q []float64, tables [][]float64, hPerQuery float64, s, w int) float64 {
 	evalCount.Add(1)
-
-	// H(AS): enumerate every family (one s-bit answer pattern per expert).
-	var hAS float64
-	if nFam := 1 << uint(s*w); nFam >= minBatchFam && nFam <= maxBatchFam {
-		hAS = symFamilyEntropyBatch(q, tables, s, w)
-	} else {
-		hAS = symFamilyEntropyScalar(q, tables, s, w)
-	}
+	hAS := symFamilyEntropy(sc, q, tables, s, w, famBlock)
 
 	// H(AS|O) = s · Σ_cr h(Pr_cr).
 	hASgivenO := hPerQuery * float64(s)
@@ -209,114 +265,16 @@ func condEntropySymCore(entropy float64, q []float64, tables [][]float64, hPerQu
 	return h
 }
 
-// symFamilyEntropyScalar is the constant-space family sweep: for every
-// family (one s-bit answer pattern per expert) it accumulates P(A) over
-// the projection patterns and folds -XLogX(P(A)) into H(AS).
-func symFamilyEntropyScalar(q []float64, tables [][]float64, s, w int) float64 {
-	var hAS float64
-	nFam := 1 << uint(s*w)
-	if s == 1 {
-		// Single-query specialization of the sweep below — the dominant
-		// shape in the incremental engines' round-start rescans. Each
-		// expert's answer pattern is one bit, so the Hamming distance is
-		// the XOR bit itself; the multiply chain is unchanged, so the
-		// result is bitwise the general sweep's.
-		for fam := 0; fam < nFam; fam++ {
-			var pA float64
-			for p, qp := range q {
-				if qp == 0 {
-					continue
-				}
-				like := qp
-				for cr := 0; cr < w; cr++ {
-					like *= tables[cr][((fam>>uint(cr))&1)^p]
-				}
-				pA += like
-			}
-			hAS -= mathx.XLogX(pA)
+// symFamilyEntropy is H(AS) for a symmetric crowd: expert cr's s-bit
+// answer pattern a has factor table[popcount(a^p)], the Lemma 1
+// likelihood of disagreeing with pattern p on that many queries.
+func symFamilyEntropy(sc *evalScratch, q []float64, tables [][]float64, s, w, block int) float64 {
+	return familyEntropy(sc, q, w, s, block, func(dst []float64, cr, off, p int) {
+		tab := tables[cr]
+		for i := range dst {
+			dst[i] = tab[bits.OnesCount(uint((off+i)^p))]
 		}
-		return hAS
-	}
-	mask := (1 << uint(s)) - 1
-	for fam := 0; fam < nFam; fam++ {
-		var pA float64
-		for p, qp := range q {
-			if qp == 0 {
-				continue
-			}
-			like := qp
-			for cr := 0; cr < w; cr++ {
-				a := (fam >> uint(cr*s)) & mask
-				like *= tables[cr][bits.OnesCount(uint(a^p))]
-			}
-			pA += like
-		}
-		hAS -= mathx.XLogX(pA)
-	}
-	return hAS
-}
-
-// symFamilyEntropyBatch computes the same H(AS) with the loops swapped:
-// patterns outside, families expanded as a tensor product. For each
-// projection pattern p it builds the per-expert factor vector v[a] =
-// table[popcount(a^p)], expands Π_cr v_cr(a_cr) by repeated OuterMul
-// (expert cr's answer pattern occupies bits [cr·s, (cr+1)·s) of the
-// family index, so each expansion puts the new factors in the high bits),
-// adds the expanded vector into the per-family accumulator, and finally
-// folds the whole accumulator through EntropySum.
-//
-// Bitwise identity with the scalar sweep: every family's product chain
-// t_{w-1}·(…·(t_0·qp)) equals the scalar ((qp·t_0)·…)·t_{w-1} because
-// IEEE-754 multiplication is commutative per operation and the chain
-// shapes match; AddTo visits patterns in the same ascending order the
-// scalar sweep sums them; EntropySum is the scalar `hAS -= XLogX(pA)`
-// loop. The batch form does ~w× fewer multiplies and runs on contiguous
-// vectors instead of per-family bit arithmetic.
-func symFamilyEntropyBatch(q []float64, tables [][]float64, s, w int) float64 {
-	sc := corePool.Get().(*coreScratch)
-	nFam := 1 << uint(s*w)
-	nPat := 1 << uint(s)
-	sc.pAs = grow(sc.pAs, nFam)
-	sc.ta = grow(sc.ta, nFam)
-	sc.tb = grow(sc.tb, nFam)
-	sc.v = grow(sc.v, nPat)
-	pAs, v := sc.pAs, sc.v
-	for i := range pAs {
-		pAs[i] = 0
-	}
-	for p, qp := range q {
-		if qp == 0 {
-			continue
-		}
-		spare := sc.tb
-		cur := sc.ta[:1]
-		cur[0] = qp
-		for cr := 0; cr < w; cr++ {
-			tab := tables[cr]
-			for a := 0; a < nPat; a++ {
-				v[a] = tab[bits.OnesCount(uint(a^p))]
-			}
-			dst := spare[:nPat*len(cur)]
-			mathx.OuterMul(dst, v, cur)
-			spare = cur[:cap(cur)]
-			cur = dst
-		}
-		mathx.AddTo(pAs, cur)
-	}
-	hAS := mathx.EntropySum(pAs)
-	corePool.Put(sc)
-	return hAS
-}
-
-// condEntropyAsym is the confusion-model variant of the optimized
-// evaluator. The projection identity still holds — answers depend on the
-// observation only through its pattern on T — but the per-answer terms
-// are class-conditional (TPR/TNR), so the Hamming-distance tables are
-// replaced by per-position factors and H(AS|O) becomes pattern-dependent:
-// H(AS|O) = Σ_p q(p) Σ_cr Σ_j h(P(yes | p_j)).
-func condEntropyAsym(d *belief.Dist, ce crowd.Crowd, facts []int) (float64, error) {
-	q := projection(d, facts)
-	return condEntropyAsymCore(d.Entropy(), q, asymYesTable(ce), len(facts), len(ce)), nil
+	})
 }
 
 // asymYesTable returns pYes[cr][tv]: P(worker cr answers Yes | fact truth
@@ -331,24 +289,19 @@ func asymYesTable(ce crowd.Crowd) [][2]float64 {
 	return pYes
 }
 
-// condEntropyAsymCore is the evaluation half of condEntropyAsym, split out
-// (like condEntropySymCore) so the per-worker yes probabilities can be
-// memoized by the incremental engine. Both family paths group each
-// worker's per-query factors into one subproduct before folding it into
-// the likelihood chain, so scalar and batch agree bitwise.
-func condEntropyAsymCore(entropy float64, q []float64, pYes [][2]float64, s, w int) float64 {
+// condEntropyAsymCore is the confusion-model counterpart of
+// condEntropySymCore. The projection identity still holds — answers
+// depend on the observation only through its pattern on T — but the
+// per-answer terms are class-conditional (TPR/TNR), so the
+// Hamming-distance tables are replaced by per-position factors and
+// H(AS|O) becomes pattern-dependent:
+// H(AS|O) = Σ_p q(p) Σ_cr Σ_j h(P(yes | p_j)).
+func condEntropyAsymCore(sc *evalScratch, entropy float64, q []float64, pYes [][2]float64, s, w int) float64 {
 	evalCount.Add(1)
-
-	var hAS float64
-	if nFam := 1 << uint(s*w); nFam >= minBatchFam && nFam <= maxBatchFam {
-		hAS = asymFamilyEntropyBatch(q, pYes, s, w)
-	} else {
-		hAS = asymFamilyEntropyScalar(q, pYes, s, w)
-	}
+	hAS := asymFamilyEntropy(sc, q, pYes, s, w, famBlock)
 
 	// H(AS|O) = Σ_p q(p) Σ_cr Σ_j h(P(yes | p_j)); the per-(worker, truth)
 	// Bernoulli entropies are computed once up front.
-	sc := corePool.Get().(*coreScratch)
 	sc.hB = grow(sc.hB, w)
 	hB := sc.hB
 	for cr := 0; cr < w; cr++ {
@@ -368,7 +321,6 @@ func condEntropyAsymCore(entropy float64, q []float64, pYes [][2]float64, s, w i
 		}
 		hASgivenO += qp * hp
 	}
-	corePool.Put(sc)
 
 	h := entropy - hAS + hASgivenO
 	if h < 0 {
@@ -377,90 +329,36 @@ func condEntropyAsymCore(entropy float64, q []float64, pYes [][2]float64, s, w i
 	return h
 }
 
-// asymFamilyEntropyScalar is the constant-space family sweep of the
-// confusion-model H(AS). Each worker's s per-query factors accumulate
-// into a subproduct of their own before multiplying the likelihood —
-// the association the batch path's per-worker factor vectors use.
-func asymFamilyEntropyScalar(q []float64, pYes [][2]float64, s, w int) float64 {
-	var hAS float64
-	nFam := 1 << uint(s*w)
-	mask := (1 << uint(s)) - 1
-	for fam := 0; fam < nFam; fam++ {
-		var pA float64
-		for p, qp := range q {
-			if qp == 0 {
-				continue
-			}
-			like := qp
-			for cr := 0; cr < w; cr++ {
-				a := (fam >> uint(cr*s)) & mask
-				sub := 1.0
-				for j := 0; j < s; j++ {
-					tv := (p >> uint(j)) & 1
-					py := pYes[cr][tv]
-					if a&(1<<uint(j)) != 0 {
-						sub *= py
-					} else {
-						sub *= 1 - py
-					}
-				}
-				like *= sub
-			}
-			pA += like
-		}
-		hAS -= mathx.XLogX(pA)
-	}
-	return hAS
-}
-
-// asymFamilyEntropyBatch is symFamilyEntropyBatch for the confusion
-// model: the per-expert factor vector over answer patterns is built by
-// progressive doubling in query order (v[a] = Π_j f_j(a_j), the scalar
-// subproduct's chain shape), then expanded across experts by OuterMul
-// exactly as the symmetric path.
-func asymFamilyEntropyBatch(q []float64, pYes [][2]float64, s, w int) float64 {
-	sc := corePool.Get().(*coreScratch)
-	nFam := 1 << uint(s*w)
-	nPat := 1 << uint(s)
-	sc.pAs = grow(sc.pAs, nFam)
-	sc.ta = grow(sc.ta, nFam)
-	sc.tb = grow(sc.tb, nFam)
-	sc.v = grow(sc.v, nPat)
-	pAs, v := sc.pAs, sc.v
-	for i := range pAs {
-		pAs[i] = 0
-	}
-	for p, qp := range q {
-		if qp == 0 {
-			continue
-		}
-		spare := sc.tb
-		cur := sc.ta[:1]
-		cur[0] = qp
-		for cr := 0; cr < w; cr++ {
-			// v[a] = Π_j (a_j ? P(yes|p_j) : 1-P(yes|p_j)) by doubling.
-			v[0] = 1
-			size := 1
-			for j := 0; j < s; j++ {
-				py := pYes[cr][(p>>uint(j))&1]
-				no := 1 - py
+// asymFamilyEntropy is H(AS) for a confusion-model crowd. Worker cr's
+// factor for answer pattern a is the subproduct Π_j f_j(a_j), f_j(1) =
+// P(yes | p_j) and f_j(0) its complement, multiplied in query order: by
+// progressive doubling over the query bits dst spans, then by the fixed
+// factor of each higher bit that off sets.
+func asymFamilyEntropy(sc *evalScratch, q []float64, pYes [][2]float64, s, w, block int) float64 {
+	return familyEntropy(sc, q, w, s, block, func(dst []float64, cr, off, p int) {
+		dst[0] = 1
+		size := 1
+		for j := 0; j < s; j++ {
+			py := pYes[cr][(p>>uint(j))&1]
+			no := 1 - py
+			if size < len(dst) {
 				for i := 0; i < size; i++ {
-					vi := v[i]
-					v[size+i] = py * vi
-					v[i] = no * vi
+					vi := dst[i]
+					dst[size+i] = py * vi
+					dst[i] = no * vi
 				}
 				size <<= 1
+				continue
 			}
-			dst := spare[:nPat*len(cur)]
-			mathx.OuterMul(dst, v, cur)
-			spare = cur[:cap(cur)]
-			cur = dst
+			f := no
+			if off&(1<<uint(j)) != 0 {
+				f = py
+			}
+			for i := range dst {
+				dst[i] *= f
+			}
 		}
-		mathx.AddTo(pAs, cur)
-	}
-	hAS := mathx.EntropySum(pAs)
-	corePool.Put(sc)
-	return hAS
+	})
 }
 
 // CondEntropyNaive computes H(O | AS^T_CE) directly from the definition:
@@ -471,6 +369,11 @@ func asymFamilyEntropyBatch(q []float64, pYes [][2]float64, s, w int) float64 {
 func CondEntropyNaive(d *belief.Dist, ce crowd.Crowd, facts []int) (float64, error) {
 	if len(ce) == 0 {
 		return 0, ErrNoExperts
+	}
+	for _, wk := range ce {
+		if err := wk.Validate(); err != nil {
+			return 0, err
+		}
 	}
 	if err := validateQuerySet(d, facts); err != nil {
 		return 0, err

@@ -1,6 +1,8 @@
 package taskselect
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -244,13 +246,53 @@ func TestCondEntropyErrors(t *testing.T) {
 	if _, err := CondEntropy(d, experts(0.9), []int{0, 0}); err == nil {
 		t.Error("duplicate fact accepted")
 	}
-	// |T|·|CE| over the enumeration cap.
-	big := experts(0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9)
-	if _, err := CondEntropy(d, big, []int{0, 1, 2}); err == nil {
-		t.Error("oversized family space accepted")
+	// Invalid workers: both evaluators must refuse them rather than
+	// return NaN or a meaningless finite value.
+	for _, wk := range []crowd.Worker{
+		{ID: "hi", Accuracy: 1.5},
+		{ID: "nan", Accuracy: math.NaN()},
+		{ID: "low", Accuracy: 0.2},
+		{ID: "tpr", TPR: 2, TNR: 0.9},
+	} {
+		ce := crowd.Crowd{{ID: "ok", Accuracy: 0.9}, wk}
+		if h, err := CondEntropy(d, ce, []int{0}); err == nil {
+			t.Errorf("worker %q accepted: H = %v", wk.ID, h)
+		}
+		if h, err := CondEntropyNaive(d, ce, []int{0}); err == nil {
+			t.Errorf("naive: worker %q accepted: H = %v", wk.ID, h)
+		}
+		if h, err := QualityGain(d, ce, []int{0}); err == nil {
+			t.Errorf("QualityGain: worker %q accepted: gain = %v", wk.ID, h)
+		}
 	}
-	if _, err := CondEntropyNaive(d, big, []int{0, 1, 2}); err == nil {
-		t.Error("naive: oversized family space accepted")
+	// |T|·|CE| over the enumeration cap, refused at every entry point
+	// before any enumeration.
+	big := experts(0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9)
+	if _, err := CondEntropy(d, big, []int{0, 1, 2}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized family space: err = %v, want ErrTooLarge", err)
+	}
+	if _, err := CondEntropyNaive(d, big, []int{0, 1, 2}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("naive: oversized family space: err = %v, want ErrTooLarge", err)
+	}
+	accs := make([]float64, maxFamilyBits+1)
+	for i := range accs {
+		accs[i] = 0.9
+	}
+	wide := experts(accs...) // 27 experts: 2^27 families for one query
+	var assigns []Assign
+	for _, wk := range wide {
+		assigns = append(assigns, Assign{Fact: 0, Worker: wk})
+	}
+	if _, err := CondEntropyAssign(d, assigns); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("assign: %d units: err = %v, want ErrTooLarge", len(assigns), err)
+	}
+	ctx := context.Background()
+	p := Problem{Beliefs: []*belief.Dist{d}, Experts: wide}
+	if _, err := (Greedy{}).Select(ctx, p, 1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Greedy on %d experts: err = %v, want ErrTooLarge", len(wide), err)
+	}
+	if _, err := NewSelectionState(1).Select(ctx, p, 1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("SelectionState on %d experts: err = %v, want ErrTooLarge", len(wide), err)
 	}
 }
 

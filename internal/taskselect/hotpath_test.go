@@ -3,118 +3,11 @@ package taskselect
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"hcrowd/internal/crowd"
 	"hcrowd/internal/rngutil"
 )
-
-// randFamilyQ builds a normalized projection-like vector over 2^s
-// patterns with a few exact zeros, as real projections have.
-func randFamilyQ(seed int64, s int) []float64 {
-	rng := rngutil.New(seed)
-	q := make([]float64, 1<<uint(s))
-	var sum float64
-	for i := range q {
-		if rng.Intn(5) == 0 {
-			continue // exact zero: exercises the qp == 0 skip
-		}
-		q[i] = rng.Float64() + 1e-6
-		sum += q[i]
-	}
-	for i := range q {
-		q[i] /= sum
-	}
-	return q
-}
-
-// TestSymFamilyEntropyBatchBitwiseScalar pins the tentpole contract: the
-// batched tensor-product family sweep must agree with the scalar sweep
-// bit for bit, at sizes on both sides of the minBatchFam dispatch
-// threshold, so the threshold stays a pure performance knob.
-func TestSymFamilyEntropyBatchBitwiseScalar(t *testing.T) {
-	cases := []struct{ s, w int }{
-		{1, 2}, // 4 families: below the dispatch threshold
-		{2, 2}, // 16
-		{3, 2}, // 64: exactly minBatchFam
-		{2, 4}, // 256
-		{4, 3}, // 4096
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("s=%d_w=%d", tc.s, tc.w), func(t *testing.T) {
-			accs := []float64{0.8, 0.88, 0.93, 0.97}[:tc.w]
-			tables := likelihoodTables(experts(accs...), tc.s)
-			for seed := int64(0); seed < 4; seed++ {
-				q := randFamilyQ(seed, tc.s)
-				scalar := symFamilyEntropyScalar(q, tables, tc.s, tc.w)
-				batch := symFamilyEntropyBatch(q, tables, tc.s, tc.w)
-				if math.Float64bits(scalar) != math.Float64bits(batch) {
-					t.Fatalf("seed %d: scalar %v (%x) != batch %v (%x)",
-						seed, scalar, math.Float64bits(scalar), batch, math.Float64bits(batch))
-				}
-			}
-		})
-	}
-}
-
-// TestAsymFamilyEntropyBatchBitwiseScalar is the confusion-model twin:
-// the scalar sweep groups each worker's per-query factors into a
-// subproduct with the same chain shape as the batch path's
-// progressive-doubling factor vectors, so the two agree bitwise.
-func TestAsymFamilyEntropyBatchBitwiseScalar(t *testing.T) {
-	ce := crowd.Crowd{
-		{ID: "A", TPR: 0.9, TNR: 0.75},
-		{ID: "B", TPR: 0.82, TNR: 0.95},
-		{ID: "C", TPR: 0.97, TNR: 0.88},
-	}
-	pYes := asymYesTable(ce)
-	cases := []struct{ s, w int }{
-		{1, 2}, // 4 families
-		{2, 3}, // 64: exactly minBatchFam
-		{3, 3}, // 512
-		{4, 2}, // 256
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("s=%d_w=%d", tc.s, tc.w), func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				q := randFamilyQ(seed+10, tc.s)
-				scalar := asymFamilyEntropyScalar(q, pYes[:tc.w], tc.s, tc.w)
-				batch := asymFamilyEntropyBatch(q, pYes[:tc.w], tc.s, tc.w)
-				if math.Float64bits(scalar) != math.Float64bits(batch) {
-					t.Fatalf("seed %d: scalar %v != batch %v", seed, scalar, batch)
-				}
-			}
-		})
-	}
-}
-
-// TestAssignFamilyEntropyBatchBitwiseScalar covers the per-unit
-// assignment enumeration, where each answer variable contributes a
-// two-point factor vector.
-func TestAssignFamilyEntropyBatchBitwiseScalar(t *testing.T) {
-	for _, n := range []int{2, 5, 6, 9} { // 4 .. 512 families, straddling 64
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			rng := rngutil.New(int64(n))
-			for seed := int64(0); seed < 4; seed++ {
-				s := 3
-				q := randFamilyQ(seed+20, s)
-				pYes := make([][2]float64, n)
-				pos := make([]int, n)
-				for i := range pYes {
-					pYes[i][0] = 0.05 + 0.4*rng.Float64()
-					pYes[i][1] = 0.55 + 0.4*rng.Float64()
-					pos[i] = rng.Intn(s)
-				}
-				scalar := assignFamilyEntropyScalar(q, pYes, pos)
-				batch := assignFamilyEntropyBatch(q, pYes, pos)
-				if math.Float64bits(scalar) != math.Float64bits(batch) {
-					t.Fatalf("seed %d: scalar %v != batch %v", seed, scalar, batch)
-				}
-			}
-		})
-	}
-}
 
 // TestProjKeyDistinguishesLargeFactIndices is the regression test for the
 // projection-memo cache key: the old single-byte-per-fact encoding

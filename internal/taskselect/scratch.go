@@ -7,19 +7,22 @@ import (
 	"hcrowd/internal/belief"
 )
 
-// evalScratch bundles the per-evaluation working buffers of the
-// incremental engines: the projection vector q, the query-set fact list,
-// and the per-unit tables of the assignment evaluator. One scratch serves
-// one evaluation at a time; the pool hands each goroutine of the parallel
-// refill its own. Pooling only recycles capacity — every buffer is
-// re-filled before use — so reuse cannot perturb results.
+// evalScratch bundles the per-evaluation working buffers: the projection
+// vector q, the query-set fact list, the per-unit tables of the assignment
+// evaluator, the family enumerator's accumulator acc, tensor buffers ta/tb
+// and factor vector v, and the per-unit Bernoulli entropy table hB. One
+// scratch serves one evaluation at a time; the pool hands each goroutine
+// of the parallel refill its own. Pooling only recycles capacity — every
+// buffer is re-filled before use — so reuse cannot perturb results.
 type evalScratch struct {
-	q     []float64
-	facts []int
-	pyes  [][2]float64
-	pos   []int
-	units []unitRef
-	key   []byte
+	q              []float64
+	facts          []int
+	pyes           [][2]float64
+	pos            []int
+	units          []unitRef
+	key            []byte
+	acc, ta, tb, v []float64
+	hB             [][2]float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}

@@ -102,12 +102,12 @@ func (s *SelectionState) likelihoodTablesFor(sz int) [][]float64 {
 }
 
 // core runs the sym or asym conditional-entropy core on projection q of a
-// size-sz query set.
-func (s *SelectionState) core(entropy float64, q []float64, tables [][]float64, sz int) float64 {
+// size-sz query set, enumerating in sc.
+func (s *SelectionState) core(sc *evalScratch, entropy float64, q []float64, tables [][]float64, sz int) float64 {
 	if s.asym {
-		return condEntropyAsymCore(entropy, q, s.pYes, sz, len(s.ce))
+		return condEntropyAsymCore(sc, entropy, q, s.pYes, sz, len(s.ce))
 	}
-	return condEntropySymCore(entropy, q, tables, s.hPerQuery, sz, len(s.ce))
+	return condEntropySymCore(sc, entropy, q, tables, s.hPerQuery, sz, len(s.ce))
 }
 
 // condEntropy implements scorer: H(O_t | AS^facts) through the crowd
@@ -129,7 +129,7 @@ func (s *SelectionState) condEntropy(sc *evalScratch, tc *taskCache, d *belief.D
 	if !s.asym {
 		tables = s.likelihoodTablesFor(sz)
 	}
-	return s.core(tc.entropy, sc.q, tables, sz), nil
+	return s.core(sc, tc.entropy, sc.q, tables, sz), nil
 }
 
 // scan implements scorer: the round-start row is a refill against the
@@ -203,7 +203,12 @@ func (s *SelectionState) fill(ctx context.Context, tc *taskCache, d *belief.Dist
 			return nil
 		}
 		s.stats.evals.Add(1)
-		row[f] = base - s.core(tc.entropy, qs[f*n:(f+1)*n], tables, sz)
+		esc := sc // serial: the enumeration shares the projections' scratch
+		if workers > 1 {
+			esc = getScratch()
+			defer putScratch(esc)
+		}
+		row[f] = base - s.core(esc, tc.entropy, qs[f*n:(f+1)*n], tables, sz)
 		return nil
 	})
 }
