@@ -16,9 +16,9 @@
 //	          uint32 LE CRC32-C over the N bytes
 //
 // Appends go to the end; there is no in-place mutation. Compaction
-// (Writer.Reset) replaces the whole file atomically — temp file, fsync,
-// rename, directory fsync — so every crash point leaves either the old
-// log or the new one, never a mix.
+// (Writer.Reset) replaces the whole file through ReplaceFile — temp
+// file, fsync, rename, directory fsync — so every crash point leaves
+// either the old log or the new one, never a mix.
 package journal
 
 import (
@@ -241,47 +241,21 @@ func (w *Writer) Close() error {
 
 // Reset atomically replaces the journal's contents with recs — the
 // compaction primitive: the caller folds the log's prefix into a
-// checkpoint record and Reset installs the shortened log. The swap is
-// temp file + fsync + rename + directory fsync, so a crash at any point
-// leaves either the full old log or the complete new one. On success
-// the Writer appends to the new file.
+// checkpoint record and Reset installs the shortened log through
+// ReplaceFile, so a crash at any point leaves either the full old log or
+// the complete new one. On success the Writer appends to the new file.
 func (w *Writer) Reset(recs []Record) error {
 	if w.f == nil {
 		return errors.New("journal: writer closed")
 	}
-	dir := filepath.Dir(w.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(w.path)+".compact*")
-	if err != nil {
-		return err
-	}
 	buf := append([]byte(nil), magic...)
 	for _, r := range recs {
 		if 1+len(r.Payload) > MaxRecordSize {
-			tmp.Close() //hclint:ignore errcheck-lite compaction failed; the size error is what gets reported
-			os.Remove(tmp.Name())
 			return fmt.Errorf("journal: record of %d bytes exceeds max %d", 1+len(r.Payload), MaxRecordSize)
 		}
 		buf = appendFrame(buf, r)
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close() //hclint:ignore errcheck-lite compaction failed; the write error is what gets reported
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //hclint:ignore errcheck-lite compaction failed; the sync error is what gets reported
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), w.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := SyncDir(w.path); err != nil {
+	if err := ReplaceFile(w.path, buf); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -297,10 +271,61 @@ func (w *Writer) Reset(recs []Record) error {
 	return nil
 }
 
+// ReplaceFile atomically and durably replaces path's contents with data:
+// write a temp file in path's directory, fsync and close it, rename it
+// over path, then fsync the directory. It is the tree's one durable-write
+// path — journal compaction, checkpoint files and handed-off journals all
+// land through it. The rename makes the swap atomic; the file fsync keeps
+// the new name from pointing at unwritten blocks, and the directory fsync
+// keeps a crash from forgetting the rename. On any failure before the
+// rename the temp file is removed and path is untouched; a failed
+// directory fsync leaves the renamed file in place, not known durable.
+func ReplaceFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return SyncDir(path)
+}
+
+// ReadFileSynced fsyncs path and returns its full contents — the read
+// half of a handoff: records appended but not yet synced become durable
+// before the bytes leave the process.
+func ReadFileSynced(path string) ([]byte, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, err
+	}
+	err = f.Sync()
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
 // SyncDir fsyncs the directory containing path, making a just-created
-// or just-renamed entry durable. Every atomic temp+rename persistence
-// path in the tree (journal creation and compaction here, checkpoint
-// files in internal/server, handed-off journals) must end with it: the
+// or just-renamed entry durable: Create and ReplaceFile end with it. The
 // rename itself is atomic, but without the directory fsync a crash can
 // still forget that the new name exists. The call is on the errcheck
 // must-check list — dropping its error silently re-opens that window.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -206,6 +207,70 @@ func TestJournalReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRecords(t, got, append(append([]Record{}, compacted...), extra))
+	assertDir(t, filepath.Dir(path), "s.journal")
+}
+
+// assertDir fails unless dir holds exactly the named entries (sorted):
+// a leftover temp sibling means a replace leaked its scratch file.
+func assertDir(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("dir holds %v, want exactly %v", got, want)
+	}
+}
+
+func TestReplaceFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "target")
+	// First a create, then a replace over the existing file.
+	for _, data := range [][]byte{[]byte("first version"), []byte("second")} {
+		if err := ReplaceFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		assertDir(t, dir, "target")
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("target holds %q, want %q", got, data)
+		}
+	}
+}
+
+// TestReplaceFileFailedRename forces the rename to fail — a non-empty
+// directory cannot be replaced by a file — and checks the old target is
+// untouched and no temp file is left behind.
+func TestReplaceFileFailedRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "target")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inner := filepath.Join(path, "keep")
+	if err := os.WriteFile(inner, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplaceFile(path, []byte("new")); err == nil {
+		t.Fatal("ReplaceFile over a non-empty directory succeeded; want error")
+	}
+	assertDir(t, dir, "target")
+	assertDir(t, path, "keep")
+	got, err := os.ReadFile(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "old" {
+		t.Fatalf("old target content = %q, want %q", got, "old")
+	}
 }
 
 func TestJournalOversizeRecordRejected(t *testing.T) {

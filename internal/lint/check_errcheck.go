@@ -46,6 +46,11 @@ var mustCheckCalls = []mustCheckCall{
 	// atomic temp+rename path (journal create/compact, checkpoint files,
 	// handed-off journals); dropping its error re-opens that window.
 	{pkg: "internal/journal", recv: "", name: "SyncDir"},
+	// The durable-replace and fsynced-read primitives every such path
+	// goes through: a dropped error is a compaction, checkpoint file or
+	// handoff image that silently never became durable.
+	{pkg: "internal/journal", recv: "", name: "ReplaceFile"},
+	{pkg: "internal/journal", recv: "", name: "ReadFileSynced"},
 }
 
 // writeOpeners are the os functions whose *os.File result is (or may
@@ -62,8 +67,8 @@ var ErrCheckLite = Check{
 	Name: "errcheck-lite",
 	Doc: "must-check calls (json Encode, write-path Close/Sync, Flush, " +
 		"Checkpoint.Write, http.Server Shutdown/Close, WriteCheckpointFile, " +
-		"journal.Writer Append/Sync/Close, journal.SyncDir) may not discard " +
-		"their error",
+		"journal.Writer Append/Sync/Close, journal.SyncDir/ReplaceFile/" +
+		"ReadFileSynced) may not discard their error",
 	Run: runErrCheckLite,
 }
 

@@ -180,9 +180,10 @@ func drainChecked(ck *Checkpoint) error {
 
 // TestErrCheckLiteJournalWriter pins the internal/journal entries of the
 // must-check set: a discarded Writer.Append, Sync or Close breaks the
-// write-ahead log's durability promise silently, and a discarded
-// SyncDir re-opens the rename-durability window on every atomic
-// temp+rename persistence path. Like the
+// write-ahead log's durability promise silently, a discarded SyncDir
+// re-opens the rename-durability window on every atomic temp+rename
+// persistence path, and a discarded ReplaceFile or ReadFileSynced hides
+// a file that never became durable. Like the
 // WriteCheckpointFile test, the package is synthesized under a path
 // whose suffix matches the configured rule.
 func TestErrCheckLiteJournalWriter(t *testing.T) {
@@ -204,11 +205,17 @@ func (w *Writer) Close() error          { return errors.New("x") }
 
 func SyncDir(path string) error { return errors.New("x") }
 
+func ReplaceFile(path string, data []byte) error { return errors.New("x") }
+
+func ReadFileSynced(path string) ([]byte, error) { return nil, errors.New("x") }
+
 func sloppy(w *Writer) {
 	w.Append(Record{})
 	_ = w.Sync()
 	defer w.Close()
 	SyncDir("d")
+	_ = ReplaceFile("e", nil)
+	ReadFileSynced("f")
 }
 
 func careful(w *Writer) error {
@@ -219,6 +226,12 @@ func careful(w *Writer) error {
 		return err
 	}
 	if err := w.Close(); err != nil {
+		return err
+	}
+	if err := ReplaceFile("e", nil); err != nil {
+		return err
+	}
+	if _, err := ReadFileSynced("f"); err != nil {
 		return err
 	}
 	return SyncDir("d")
@@ -236,10 +249,11 @@ func careful(w *Writer) error {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
 	diags := lint.RunCheck(pkgs[0], lint.ErrCheckLite)
-	if len(diags) != 4 {
-		t.Fatalf("diagnostics = %v, want 4", diags)
+	labels := []string{"Writer.Append", "Writer.Sync", "Writer.Close", "SyncDir", "ReplaceFile", "ReadFileSynced"}
+	if len(diags) != len(labels) {
+		t.Fatalf("diagnostics = %v, want %d", diags, len(labels))
 	}
-	for i, want := range []string{"Writer.Append", "Writer.Sync", "Writer.Close", "SyncDir"} {
+	for i, want := range labels {
 		if !strings.Contains(diags[i].Message, want+" error discarded") {
 			t.Errorf("diagnostic %d = %q, want %s label", i, diags[i].Message, want)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"hcrowd/internal/dataset"
 	"hcrowd/internal/journal"
-	"hcrowd/internal/obsv"
 	"hcrowd/internal/pipeline"
 )
 
@@ -112,13 +111,11 @@ type sessionJournal struct {
 	sinceCompact int //hclint:guardedby mu
 }
 
-func newSessionJournal(w *journal.Writer, created []byte, compactEvery int, ins *journalInstruments) *sessionJournal {
-	if ins == nil {
-		// Unobserved journals still count into a private registry rather
-		// than nil-checking every instrument touch.
-		ins = newJournalInstruments(obsv.NewRegistry())
-	}
-	return &sessionJournal{w: w, ins: ins, created: created, compactEvery: compactEvery}
+// newSessionJournal wraps w; admits seeds the retained admission
+// payloads of a recovered journal (nil for a fresh one), so the next
+// compaction preserves pre-crash admissions.
+func newSessionJournal(w *journal.Writer, created []byte, admits [][]byte, compactEvery int, ins *journalInstruments) *sessionJournal {
+	return &sessionJournal{w: w, ins: ins, created: created, admits: admits, compactEvery: compactEvery}
 }
 
 // appendLocked writes one record, optionally fsyncing — the commit
@@ -184,14 +181,6 @@ func (j *sessionJournal) taskAdmitted(seq int, final bool, fr *dataset.Fragment,
 	}
 	j.admits = append(j.admits, payload)
 	return nil
-}
-
-// seedAdmits primes the retained admit payloads from a recovered
-// journal, so the next compaction preserves pre-crash admissions.
-func (j *sessionJournal) seedAdmits(payloads [][]byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.admits = append(j.admits, payloads...)
 }
 
 // answerAccepted journals one accepted answer and syncs — the answer is

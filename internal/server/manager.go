@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -226,20 +226,16 @@ func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, op
 	}
 	m.mu.Unlock()
 
-	if opts.Gate != nil {
-		// Sessions the manager starts are gated by the manager alone.
-		return "", nil, errors.New("server: SessionOptions.Gate is owned by the manager")
-	}
 	// Attach a fresh write-ahead journal when the manager is durable and
 	// the session came in through the HTTP create path (journalReq is the
 	// recovery recipe). Recovered sessions arrive with opts.journal
 	// already set and skip this.
 	var freshJournal *sessionJournal
 	if m.opts.JournalDir != "" && opts.journal == nil && opts.journalReq != nil {
-		if opts.Metrics == nil {
-			opts.Metrics = NewMetrics()
+		if opts.metrics == nil {
+			opts.metrics = NewMetrics()
 		}
-		j, err := m.newJournal(id, opts.journalReq, opts.Metrics.journal)
+		j, err := m.newJournal(id, opts.journalReq, opts.metrics.journal)
 		if err != nil {
 			return "", nil, fmt.Errorf("server: journal %s: %w", id, err)
 		}
@@ -264,7 +260,7 @@ func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, op
 	if opts.Logger == nil {
 		opts.Logger = m.logger
 	}
-	opts.Gate = m.gate(ms)
+	opts.gate = m.gate(ms)
 	sink := m.metrics.sessionSink(id)
 	if cfg.Metrics != nil {
 		cfg.Metrics = pipeline.MultiMetrics{sink, cfg.Metrics}
@@ -323,7 +319,7 @@ func (m *Manager) newJournal(id string, req *CreateSessionRequest, ins *journalI
 	if err != nil {
 		return nil, err
 	}
-	j := newSessionJournal(w, created, m.compactEvery(), ins)
+	j := newSessionJournal(w, created, nil, m.compactEvery(), ins)
 	if err := j.logCreated(); err != nil {
 		if cerr := j.close(); cerr != nil {
 			m.logf("manager: journal %s close: %v", id, cerr)
@@ -423,9 +419,8 @@ func (m *Manager) recoverOne(path string) (string, error) {
 	// re-applied to the dataset (the checkpoint's beliefs and selection
 	// cache were taken over the grown dataset, and the engine resumes on
 	// it); their budget-window refills — which admitAll granted in the
-	// original run — are folded into the base budget. Admissions past the
-	// checkpoint are re-staged for the engine's admission source, which
-	// replays them at the exact round boundaries the journal recorded.
+	// original run — are folded into the base budget. The session itself
+	// re-stages the admissions past the checkpoint (Session.resume).
 	folded := 0
 	for _, ar := range state.admits {
 		if ar.Fragment == nil || ar.Seq > state.baseAdmitSeq {
@@ -438,29 +433,9 @@ func (m *Manager) recoverOne(path string) (string, error) {
 		folded++
 	}
 	cfg.Budget += float64(folded) * cfg.BudgetWindow
-	for _, ar := range state.admits {
-		if ar.Fragment == nil {
-			opts.admitFinal = true
-			continue
-		}
-		opts.admitFrags++
-		if ar.Seq > state.baseAdmitSeq {
-			opts.pendingAdmits = append(opts.pendingAdmits, stagedAdmit{seq: ar.Seq, fr: ar.Fragment})
-		}
-		if ar.Final {
-			opts.admitFinal = true
-		}
-	}
-	opts.admitSeq = len(state.admits)
-	opts.appliedSeq = state.baseAdmitSeq
-	if opts.Metrics == nil {
-		opts.Metrics = NewMetrics()
-	}
-	created := append([]byte(nil), recs[0].Payload...)
-	opts.journal = newSessionJournal(w, created, m.compactEvery(), opts.Metrics.journal)
-	opts.journal.seedAdmits(state.admitRaw)
-	opts.replay = state.replay
-	opts.nextRound = state.nextRound
+	opts.metrics = NewMetrics()
+	opts.journal = newSessionJournal(w, recs[0].Payload, state.admitRaw, m.compactEvery(), opts.metrics.journal)
+	opts.recovered = state
 	id, _, err := m.Create(state.req.Name, ds, cfg, opts)
 	if err != nil {
 		closeOnErr()
@@ -622,17 +597,20 @@ func (m *Manager) evictLocked() []*managedSession {
 	sort.Slice(finished, func(i, j int) bool { return finished[i].finSeq < finished[j].finSeq })
 	evicted := finished[:len(finished)-m.opts.Retention]
 	for _, ms := range evicted {
-		delete(m.sessions, ms.id)
-		for i, o := range m.order {
-			if o == ms {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
-		m.metrics.forgetSession(ms.id)
+		m.unregisterLocked(ms)
 		m.metrics.sessionsEvicted.Inc()
 	}
 	return evicted
+}
+
+// unregisterLocked removes a session from the registry and the List
+// order and drops its per-session metric labels. Callers hold m.mu.
+func (m *Manager) unregisterLocked(ms *managedSession) {
+	delete(m.sessions, ms.id)
+	if i := slices.Index(m.order, ms); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
+	m.metrics.forgetSession(ms.id)
 }
 
 // updateStateGaugesLocked recomputes the per-state session gauge from
@@ -782,7 +760,7 @@ func (m *Manager) Handoff(ctx context.Context, id string) ([]byte, error) {
 		unpin()
 		return nil, fmt.Errorf("server: handoff %s: quiesce: %w", id, err)
 	}
-	data, err := readFileSynced(ms.journal.path())
+	data, err := journal.ReadFileSynced(ms.journal.path())
 	if err != nil {
 		unpin()
 		return nil, fmt.Errorf("server: handoff %s: %w", id, err)
@@ -791,33 +769,14 @@ func (m *Manager) Handoff(ctx context.Context, id string) ([]byte, error) {
 	return data, nil
 }
 
-// readFileSynced fsyncs path and returns its full contents: the
-// stream-side half of "fsyncs and streams the journal bytes".
-func readFileSynced(path string) ([]byte, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close() //hclint:ignore errcheck-lite read path failed; the sync error is what gets reported
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close() //hclint:ignore errcheck-lite read path failed; the read error is what gets reported
-		return nil, err
-	}
-	return data, f.Close()
-}
-
 // AcceptHandoff is the rebalance protocol's target half: it lands a
-// handed-off journal image durably in this manager's JournalDir (temp
-// file + fsync + rename + directory fsync) and rebuilds the session
-// through the regular recovery path, replaying the round suffix past
-// the newest journaled checkpoint. Only after the rebuilt session is
-// running — and the bytes would survive a crash here — does it return
-// nil; that return is the ack on which the source retires its copy, so
-// a failure anywhere leaves the source as the sole owner.
+// handed-off journal image durably in this manager's JournalDir
+// (journal.ReplaceFile) and rebuilds the session through the regular
+// recovery path, replaying the round suffix past the newest journaled
+// checkpoint. Only after the rebuilt session is running — and the bytes
+// would survive a crash here — does it return nil; that return is the
+// ack on which the source retires its copy, so a failure anywhere
+// leaves the source as the sole owner.
 func (m *Manager) AcceptHandoff(id string, data []byte) error {
 	if m.opts.JournalDir == "" {
 		return errors.New("server: accept handoff: no JournalDir configured")
@@ -859,29 +818,14 @@ func (m *Manager) AcceptHandoff(id string, data []byte) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	tmp, err := os.CreateTemp(m.opts.JournalDir, id+".handoff*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close() //hclint:ignore errcheck-lite the temp file is removed on this path; the write failure is what gets reported
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //hclint:ignore errcheck-lite the temp file is removed on this path; the sync failure is what gets reported
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := journal.SyncDir(path); err != nil {
+	if err := journal.ReplaceFile(path, data); err != nil {
+		// A landing that failed after its rename (the directory fsync) left
+		// path behind; path did not exist before, so remove it — a stray
+		// journal would make the source's retry fail as a duplicate and a
+		// restart here resurrect a second owner.
+		if rerr := os.Remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+			m.logf("manager: accept handoff %s: discard landed journal: %v", id, rerr)
+		}
 		return err
 	}
 	recovered, err := m.recoverOne(path)
@@ -916,14 +860,7 @@ func (m *Manager) Retire(id string) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	delete(m.sessions, id)
-	for i, o := range m.order {
-		if o == ms {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	m.metrics.forgetSession(id)
+	m.unregisterLocked(ms)
 	m.updateStateGaugesLocked()
 	m.mu.Unlock()
 	if ms.journal != nil {
@@ -943,10 +880,10 @@ func (m *Manager) Retire(id string) error {
 // stops accepting answers, and each engine is given until ctx to
 // consume its in-flight completed round. Each session's final
 // checkpoint — by construction the last one its OnCheckpoint hook saw —
-// is then written to CheckpointDir as <id>.ckpt.json (atomic
-// temp+rename), loadable by pipeline.ReadCheckpoint for a warm resume.
-// Sessions that never completed a round have no checkpoint and write no
-// file. Drain is idempotent; concurrent calls drain the same snapshot.
+// is then written to CheckpointDir as <id>.ckpt.json by
+// WriteCheckpointFile, loadable by pipeline.ReadCheckpoint for a warm
+// resume. Sessions that never completed a round have no checkpoint and
+// write no file. Drain is idempotent; concurrent calls drain the same snapshot.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	if !m.draining {
@@ -982,43 +919,20 @@ func (m *Manager) Drain(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// WriteCheckpointFile persists a checkpoint atomically AND durably,
-// with the same discipline as journal compaction: write a temp file in
-// the target's directory, fsync it, rename over the target, then fsync
-// the directory. The rename alone makes the swap atomic but not
-// durable — without the file fsync a crash shortly after Drain could
-// leave the *new* name pointing at unwritten blocks (an empty or
-// truncated checkpoint), and without the directory fsync the rename
-// itself could be forgotten. The parent directory is created if
-// missing.
+// WriteCheckpointFile persists a checkpoint atomically AND durably
+// through journal.ReplaceFile, the same path journal compaction takes:
+// a crash shortly after Drain leaves either the previous file or the
+// complete new checkpoint, never an empty or truncated one. The parent
+// directory is created if missing.
 func WriteCheckpointFile(path string, ck *pipeline.Checkpoint) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := ck.Write(&buf); err != nil {
 		return err
 	}
-	if err := ck.Write(tmp); err != nil {
-		tmp.Close() //hclint:ignore errcheck-lite the temp file is removed on this path; the write failure is what gets reported
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //hclint:ignore errcheck-lite the temp file is removed on this path; the sync failure is what gets reported
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return journal.SyncDir(path)
+	return journal.ReplaceFile(path, buf.Bytes())
 }
 
 // CreateSessionRequest is the POST /v1/sessions payload: a dataset (the

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -127,8 +128,8 @@ type Session struct {
 	// prevents a single absent expert from deadlocking the session.
 	roundTimeout time.Duration
 
-	// metrics is always non-nil (auto-created when the options carry
-	// none); logger may be nil (no round-transition logging).
+	// metrics is always non-nil (the manager's bundle, or auto-created);
+	// logger may be nil (no round-transition logging).
 	metrics *Metrics
 	logger  *log.Logger
 }
@@ -141,43 +142,31 @@ type SessionOptions struct {
 	// Checkpoint, when non-nil, resumes the job from a warm checkpoint
 	// instead of starting fresh.
 	Checkpoint *pipeline.Checkpoint
-	// Metrics receives the session's instrumentation; nil auto-creates a
-	// bundle (reachable via Session.Metrics).
-	Metrics *Metrics
 	// Logger, when non-nil, receives round-transition log lines
 	// (published / completed / expired / rejected stragglers).
 	Logger *log.Logger
-	// Gate, when non-nil, is acquired before the pipeline engine starts
-	// and released when it returns. It is how a session manager bounds the
-	// number of simultaneously running engines: a gated session sits
-	// queued (publishing no rounds) until the gate admits it. An Acquire
-	// error (the gate rejected the session, or ctx ended) finishes the
-	// session with that error without running the engine.
-	Gate func(ctx context.Context) (release func(), err error)
 	// CostAware runs the cost-aware checking loop (per-worker answer
 	// prices drive the assignment; see pipeline.RunCostAware) instead of
 	// the uniform one. The cfg passed to the constructor must then carry
 	// the Cost function.
 	CostAware bool
 
-	// Journal-backed operation; wired by the Manager (Create attaches a
-	// fresh journal when journalReq carries the creation payload, Recover
-	// supplies a reopened journal plus the replay suffix and the restored
-	// round counter).
-	journal    *sessionJournal
-	replay     []*replayRound
-	nextRound  int
-	journalReq *CreateSessionRequest
+	// Manager-owned wiring. gate, when non-nil, is acquired before the
+	// pipeline engine starts and released when it returns: a gated session
+	// sits queued (publishing no rounds) until the gate admits it, and an
+	// acquire error (the gate rejected the session, or ctx ended) finishes
+	// the session with that error without running the engine. metrics,
+	// when non-nil, is the bundle the session's journal instruments were
+	// drawn from; nil auto-creates one.
+	gate    func(ctx context.Context) (release func(), err error)
+	metrics *Metrics
 
-	// Recovered streaming-admission state (wired by Manager.Recover):
-	// the staged fragments not yet folded into the engine, the last
-	// journaled sequence, the sequence already folded into the
-	// checkpoint, and whether the stream was finalized.
-	pendingAdmits []stagedAdmit
-	admitSeq      int
-	appliedSeq    int
-	admitFrags    int
-	admitFinal    bool
+	// Journal-backed operation (Create attaches a fresh journal when
+	// journalReq carries the creation payload; Recover supplies a reopened
+	// journal plus the parsed log it recovered from).
+	journal    *sessionJournal
+	journalReq *CreateSessionRequest
+	recovered  *recoveredSession
 }
 
 // stagedAdmit is one queued admission: a fragment under its journaled
@@ -202,7 +191,7 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 	if len(ce) == 0 {
 		return nil, errors.New("server: no expert workers above theta")
 	}
-	metrics := opts.Metrics
+	metrics := opts.metrics
 	if metrics == nil {
 		metrics = NewMetrics()
 	}
@@ -210,13 +199,11 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 	s := &Session{
 		ds:           ds,
 		experts:      ce,
-		nextID:       opts.nextRound,
 		finished:     make(chan struct{}),
 		cancel:       cancel,
 		roundTimeout: opts.RoundTimeout,
 		checkpoint:   c,
 		journal:      opts.journal,
-		replay:       opts.replay,
 		costAware:    opts.CostAware,
 		metrics:      metrics,
 		logger:       opts.Logger,
@@ -230,16 +217,14 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 		// goroutine is mutating.
 		s.admitEnabled = true
 		s.admitCh = make(chan struct{})
-		s.admitQueue = opts.pendingAdmits
-		s.admitSeq = opts.admitSeq
-		s.appliedSeq = opts.appliedSeq
-		s.admitFinal = opts.admitFinal
-		s.admitFrags = opts.admitFrags
 		s.prelimWorkers = make(map[string]bool, ds.Prelim.NumWorkers())
 		for _, id := range ds.Prelim.WorkerIDs() {
 			s.prelimWorkers[id] = true
 		}
 		cfg.Admit = sessionAdmit{s: s}
+	}
+	if opts.recovered != nil {
+		s.resume(opts.recovered)
 	}
 	if s.journal != nil {
 		// Commit every engine round to the journal — with the server's
@@ -276,8 +261,8 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 	}
 	go func() {
 		defer close(s.finished)
-		if opts.Gate != nil {
-			release, err := opts.Gate(runCtx)
+		if opts.gate != nil {
+			release, err := opts.gate(runCtx)
 			if err != nil {
 				s.mu.Lock()
 				defer s.mu.Unlock()
@@ -318,6 +303,31 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 		}
 	}()
 	return s, nil
+}
+
+// resume restores a recovered session's position from its parsed
+// journal: the round counter, the round suffix the engine still owes,
+// and the admission stream — the last journaled sequence, the sequence
+// the checkpoint folded, the fragments past it (re-staged for the
+// engine's admission source, which replays them at the journaled round
+// boundaries), and whether the stream was finalized.
+func (s *Session) resume(rec *recoveredSession) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextID = rec.nextRound
+	s.replay = rec.replay
+	s.admitSeq = len(rec.admits)
+	s.appliedSeq = rec.baseAdmitSeq
+	s.admitFinal = rec.admitFinal
+	for _, ar := range rec.admits {
+		if ar.Fragment == nil {
+			continue // a fragment-less final record only closes the stream
+		}
+		s.admitFrags++
+		if ar.Seq > rec.baseAdmitSeq {
+			s.admitQueue = append(s.admitQueue, stagedAdmit{seq: ar.Seq, fr: ar.Fragment})
+		}
+	}
 }
 
 // Metrics returns the session's instrument bundle (never nil); serve
@@ -617,7 +627,7 @@ func (s *Session) publish(panel crowd.Crowd, facts []int) (*pendingRound, error)
 func (s *Session) replayRoundLocked(panel crowd.Crowd, sortedFacts []int) (*pendingRound, error) {
 	rr := s.replay[0]
 	s.replay = s.replay[1:]
-	if !equalInts(sortedFacts, rr.Facts) || !equalStrings(panelIDs(panel), rr.Panel) {
+	if !slices.Equal(sortedFacts, rr.Facts) || !slices.Equal(panelIDs(panel), rr.Panel) {
 		return nil, fmt.Errorf("server: recovery diverged: engine re-planned round %d with different facts or panel than journaled", rr.Round)
 	}
 	if rr.AdmitSeq != s.appliedSeq {
@@ -668,32 +678,6 @@ func (s *Session) replayRoundLocked(panel crowd.Crowd, sortedFacts []int) (*pend
 	}
 	s.logf("round %d replayed from journal: %d/%d answers, sealed=%v", rr.Round, len(round.answers), len(panel), round.complete)
 	return round, nil
-}
-
-// equalInts reports whether two int slices are identical.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// equalStrings reports whether two string slices are identical.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // journalFailLocked records the first journal failure and fails the
