@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fixtures fuzz-smoke race determinism bench metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke verify
+.PHONY: build test fmt vet lint lint-fixtures fuzz-smoke race determinism bench metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke verify
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,17 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# gofmt gate: fail on any Go file gofmt would rewrite, in the root
+# module or the separate bench/ module (the benchmark's build directory
+# is skipped).
+fmt:
+	@out=$$(gofmt -l $$(find . -name .bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# bench/ is its own Go module, which the root ./... never reaches.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # The repo's own determinism + concurrency linter (cmd/hclint): no
 # global math/rand, no wall-clock or raw map iteration in deterministic
@@ -109,7 +118,7 @@ cluster-smoke:
 bench-smoke:
 	cd bench && $(GO) test ./...
 
-# Gate order: cheap static analysis first (vet, then hclint and its
+# Gate order: cheap static analysis first (gofmt, vet, then hclint and its
 # fixture self-test), then the fuzz smoke, then the race/determinism
 # suite and the e2e smokes.
-verify: build vet lint lint-fixtures fuzz-smoke race determinism metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke
+verify: build fmt vet lint lint-fixtures fuzz-smoke race determinism metrics-smoke serve-smoke crash-smoke load-smoke cluster-smoke bench-smoke

@@ -85,38 +85,24 @@ func run(args []string, stdout io.Writer) error {
 		Selector: sel,
 		Source:   hcrowd.NewSimulatedSource(*seed+2, ds),
 	}
-	var res *hcrowd.Result
-	switch {
-	case *fromCk != "":
+	if *fromCk != "" {
 		ckFile, err := os.Open(*fromCk)
 		if err != nil {
 			return err
 		}
-		ck, err := hcrowd.ReadCheckpoint(ckFile)
+		cfg.From, err = hcrowd.ReadCheckpoint(ckFile)
 		ckFile.Close()
 		if err != nil {
 			return err
 		}
-		resume := hcrowd.Resume
-		if *costMode {
-			resume = hcrowd.ResumeCostAware
-		}
-		res, err = resume(context.Background(), ds, cfg, ck)
-		if err != nil {
-			return err
-		}
-	case *costMode:
-		var err error
-		res, err = hcrowd.RunCostAware(context.Background(), ds, cfg)
-		if err != nil {
-			return err
-		}
-	default:
-		var err error
-		res, err = hcrowd.Run(context.Background(), ds, cfg)
-		if err != nil {
-			return err
-		}
+	}
+	run := hcrowd.Run
+	if *costMode {
+		run = hcrowd.RunCostAware
+	}
+	res, err := run(context.Background(), ds, cfg)
+	if err != nil {
+		return err
 	}
 	if *saveCk != "" {
 		out, err := os.Create(*saveCk)

@@ -114,6 +114,29 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 }
 
+// TestRunResumeFlavorMismatch: -resume under the other loop flavor than
+// the one that saved the checkpoint fails instead of quietly running the
+// other algorithm cold.
+func TestRunResumeFlavorMismatch(t *testing.T) {
+	path := writeDataset(t)
+	for _, tc := range []struct{ save, resume []string }{
+		{[]string{"-costaware"}, nil},
+		{nil, []string{"-costaware"}},
+	} {
+		ck := filepath.Join(t.TempDir(), "state.json")
+		var out bytes.Buffer
+		args := append([]string{"-in", path, "-budget", "10", "-save-checkpoint", ck}, tc.save...)
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		args = append([]string{"-in", path, "-budget", "20", "-resume", ck}, tc.resume...)
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "cost-aware") || !strings.Contains(err.Error(), "uniform") {
+			t.Errorf("save %v, resume %v: err = %v, want a flavor mismatch", tc.save, tc.resume, err)
+		}
+	}
+}
+
 func TestRunCostAwareFlag(t *testing.T) {
 	path := writeDataset(t)
 	var out bytes.Buffer

@@ -200,6 +200,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if resumeCk, err = pipeline.ReadCheckpoint(bytes.NewReader(rawResume)); err != nil {
 			return fmt.Errorf("resume %s: %w", *rsPath, err)
 		}
+		if err := resumeCk.CheckFlavor(*costAw); err != nil {
+			return fmt.Errorf("resume %s: %w", *rsPath, err)
+		}
 	}
 
 	// Sessions run on the background context, not the signal context: a
@@ -294,15 +297,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Init:          agg,
 			PriorCoupling: couple,
 			Cost:          cost,
+			From:          resumeCk,
 		}
 		if *ckPath != "" {
-			cfg.OnCheckpoint = func(ck *pipeline.Checkpoint) {
+			// Advisory: a failed write loses a resume point, not the run.
+			cfg.Journal = func(_ int, ck *pipeline.Checkpoint) error {
 				if err := server.WriteCheckpointFile(*ckPath, ck); err != nil {
 					fmt.Fprintln(os.Stderr, "hcserve: checkpoint:", err)
 				}
+				return nil
 			}
 		}
-		opts := server.SessionOptions{RoundTimeout: *rt, CostAware: *costAw, Checkpoint: resumeCk}
+		opts := server.SessionOptions{RoundTimeout: *rt, CostAware: *costAw}
 		if _, sess, err = mgr.Create("default", ds, cfg, opts); err != nil {
 			return err
 		}

@@ -136,7 +136,8 @@ func TestFacadeCheckpointAndCostAware(t *testing.T) {
 	run2 := run
 	run2.Budget = 20
 	run2.Source = hcrowd.NewSimulatedSource(7, ds)
-	resumed, err := hcrowd.Resume(context.Background(), ds, run2, back)
+	run2.From = back
+	resumed, err := hcrowd.Run(context.Background(), ds, run2)
 	if err != nil {
 		t.Fatal(err)
 	}

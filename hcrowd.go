@@ -142,8 +142,10 @@ func SplitTiers(c Crowd, theta float64, n int, budget float64) ([]TierConfig, Cr
 // Checkpoint captures a run's resumable state: the beliefs and budget
 // spent, plus the optional warm sections (incremental selection cache,
 // stopping-rule votes). Persist it between rounds of a long labeling job
-// — see Config.OnCheckpoint — and continue with Resume (or
-// ResumeCostAware) after a restart.
+// — the Config.Journal round hook receives one per round — and continue
+// after a restart by setting it as Config.From and calling the run
+// function that wrote it (Run or RunCostAware; the other one rejects a
+// checkpoint carrying a selection cache).
 type Checkpoint = pipeline.Checkpoint
 
 // SelectionCache is the serialized round-start gain state of an
@@ -154,24 +156,12 @@ type SelectionCache = taskselect.SelectionCache
 // StopVotes is the stopping rule's checkpointed per-fact vote counts.
 type StopVotes = pipeline.StopVotes
 
-// NewCheckpoint snapshots a result's state for later Resume.
+// NewCheckpoint snapshots a result's state for a later resume through
+// Config.From.
 func NewCheckpoint(res *Result) *Checkpoint { return pipeline.NewCheckpoint(res) }
 
 // ReadCheckpoint deserializes a checkpoint written by (*Checkpoint).Write.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) { return pipeline.ReadCheckpoint(r) }
-
-// Resume continues a run from a checkpoint; cfg.Budget is the job's
-// total budget, of which the checkpoint's spend is already consumed. A
-// checkpoint carrying the warm sections resumes without re-scanning any
-// unchanged task.
-func Resume(ctx context.Context, ds *Dataset, cfg Config, c *Checkpoint) (*Result, error) {
-	return pipeline.Resume(ctx, ds, cfg, c)
-}
-
-// ResumeCostAware is Resume for runs started by RunCostAware.
-func ResumeCostAware(ctx context.Context, ds *Dataset, cfg Config, c *Checkpoint) (*Result, error) {
-	return pipeline.ResumeCostAware(ctx, ds, cfg, c)
-}
 
 // NewSimulatedSource answers checking queries from the dataset's ground
 // truth under each expert's accuracy — the paper's offline evaluation

@@ -103,8 +103,12 @@ func Streaming(ctx context.Context, o Options) (*Figure, error) {
 
 	for _, flavor := range []struct {
 		name string
-		cost bool
-	}{{"HC", false}, {"HC-cost", true}} {
+		run  func(context.Context, *dataset.Dataset, pipeline.Config) (*pipeline.Result, error)
+		cost func(crowd.Worker) float64
+	}{
+		{"HC", pipeline.Run, nil},
+		{"HC-cost", pipeline.RunCostAware, func(w crowd.Worker) float64 { return 1 + (1 - w.Accuracy) }},
+	} {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -123,18 +127,9 @@ func Streaming(ctx context.Context, o Options) (*Figure, error) {
 		cfg.BudgetWindow = float64(len(ce))
 		cfg.Admit = src
 		rec := &pipeline.MetricsRecorder{}
-		if o.Metrics != nil {
-			cfg.Metrics = pipeline.MultiMetrics{rec, o.Metrics}
-		} else {
-			cfg.Metrics = rec
-		}
-		var res *pipeline.Result
-		if flavor.cost {
-			cfg.Cost = func(w crowd.Worker) float64 { return 1 + (1 - w.Accuracy) }
-			res, err = pipeline.RunCostAware(ctx, ds, cfg)
-		} else {
-			res, err = pipeline.Run(ctx, ds, cfg)
-		}
+		cfg.Metrics = pipeline.MultiMetrics{rec, o.Metrics}
+		cfg.Cost = flavor.cost
+		res, err := flavor.run(ctx, ds, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("streaming %s: %w", flavor.name, err)
 		}

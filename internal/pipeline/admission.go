@@ -57,14 +57,11 @@ func (s *ScheduleSource) Poll(_ context.Context, wait bool) ([]*dataset.Fragment
 // an aggregator over an empty matrix adds nothing, every fact would sit
 // at 0.5 regardless.
 func fragmentBeliefs(fr *dataset.Fragment, local *dataset.Matrix, cfg Config) ([]*belief.Dist, error) {
-	// InitBeliefsWithPrior reads only Tasks and Prelim, both of which are
+	// initBeliefs reads only Tasks and Prelim, both of which are
 	// fragment-local here, so the marginals land on the right local facts.
 	tmp := &dataset.Dataset{Truth: fr.Truth, Tasks: fr.Tasks, Prelim: local}
-	uniform := cfg.UniformInit || local.NumAnswers() == 0
-	if cfg.Prior != nil {
-		return InitBeliefsWithPrior(tmp, cfg.Init, uniform, cfg.Prior)
-	}
-	return InitBeliefsCoupled(tmp, cfg.Init, uniform, cfg.PriorCoupling)
+	cfg.UniformInit = cfg.UniformInit || local.NumAnswers() == 0
+	return initBeliefs(tmp, cfg)
 }
 
 // admitAll folds admission batches into the running engine's state, in

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"math"
 
 	"hcrowd/internal/belief"
-	"hcrowd/internal/crowd"
 	"hcrowd/internal/dataset"
 	"hcrowd/internal/taskselect"
 )
@@ -31,7 +29,8 @@ type StopVotes struct {
 // the budget already spent, plus — since version 1 — the optional warm
 // sections: the incremental selector's gain cache and the stopping
 // rule's vote counts. Long labeling jobs can persist it between rounds
-// (see Config.OnCheckpoint) and continue after a restart; the answer
+// (see Config.Journal) and continue after a restart by passing it as
+// Config.From to the flavor that wrote it (Run or RunCostAware); the answer
 // stream itself is not replayed — the beliefs already incorporate it. A
 // warm resume re-scans no unchanged task: the selection cache holds the
 // round-start gains the interrupted run had already computed.
@@ -83,7 +82,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	}
 	// NOT `< 0` alone: every comparison with NaN is false, so a NaN spend
 	// would pass a plain sign check and poison all later budget math
-	// (resumeSetup's remaining-budget clamp, accumulate's sums).
+	// (the resumed run's remaining-budget clamp, accumulate's sums).
 	if math.IsNaN(c.BudgetSpent) || math.IsInf(c.BudgetSpent, 0) {
 		return nil, fmt.Errorf("pipeline: checkpoint has non-finite spend %v", c.BudgetSpent)
 	}
@@ -125,36 +124,22 @@ func (c *Checkpoint) matches(ds *dataset.Dataset) error {
 	return nil
 }
 
-// resumeSetup shares the validation and state reconstruction between the
-// two resume flavors: it clamps cfg.Budget to what remains and clones
-// the checkpointed beliefs.
-func resumeSetup(ds *dataset.Dataset, cfg *Config, c *Checkpoint) (crowd.Crowd, []*belief.Dist, error) {
-	if err := ds.Validate(); err != nil {
-		return nil, nil, err
+// CheckFlavor reports whether the checkpoint can resume under the
+// uniform loop (costAware false: Run) or the cost-aware one (costAware
+// true: RunCostAware). A checkpoint whose selection cache was written by
+// the other flavor's engine is an error naming both flavors; a cache-less
+// checkpoint (version 0, or a run whose selector is not incremental)
+// resumes under either, and a nil checkpoint passes.
+func (c *Checkpoint) CheckFlavor(costAware bool) error {
+	if c == nil || c.Selection == nil {
+		return nil
 	}
-	if err := c.matches(ds); err != nil {
-		return nil, nil, err
+	wrote := c.Selection.Kind == taskselect.CacheKindAssign
+	if wrote == costAware {
+		return nil
 	}
-	if cfg.K < 1 {
-		return nil, nil, fmt.Errorf("pipeline: K = %d, need >= 1", cfg.K)
-	}
-	if cfg.Source == nil {
-		return nil, nil, errors.New("pipeline: Config.Source is required")
-	}
-	ce, _ := ds.Split()
-	if len(ce) == 0 {
-		return nil, nil, errors.New("pipeline: no expert workers above theta")
-	}
-	remaining := cfg.Budget - c.BudgetSpent
-	if remaining < 0 {
-		remaining = 0
-	}
-	cfg.Budget = remaining
-	beliefs := make([]*belief.Dist, len(c.Beliefs))
-	for i, b := range c.Beliefs {
-		beliefs[i] = b.Clone()
-	}
-	return ce, beliefs, nil
+	name := map[bool]string{false: "uniform (Run)", true: "cost-aware (RunCostAware)"}
+	return fmt.Errorf("pipeline: checkpoint was written by the %s loop, cannot resume it with the %s loop", name[wrote], name[costAware])
 }
 
 // accumulate folds the pre-checkpoint spend back into a resumed result,
@@ -165,40 +150,4 @@ func accumulate(res *Result, spentBefore float64) *Result {
 		res.Rounds[i].BudgetSpent += spentBefore
 	}
 	return res
-}
-
-// Resume continues a run from a checkpoint: cfg.Budget is the job's total
-// budget, of which the checkpoint's spend is already consumed.
-// Initialization settings in cfg (Init, UniformInit, priors) are ignored —
-// the checkpointed beliefs are the state. A version-1 checkpoint resumes
-// warm: the selection cache skips the initial full gain scan, and the
-// stop votes restore the frozen facts.
-func Resume(ctx context.Context, ds *dataset.Dataset, cfg Config, c *Checkpoint) (*Result, error) {
-	if cfg.Selector == nil {
-		cfg.Selector = defaultSelector()
-	}
-	ce, beliefs, err := resumeSetup(ds, &cfg, c)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runUniform(ctx, ds, cfg, ce, beliefs, c.Selection, c.StopVotes, c.BudgetSpent)
-	if err != nil {
-		return nil, err
-	}
-	return accumulate(res, c.BudgetSpent), nil
-}
-
-// ResumeCostAware is Resume for the cost-aware loop: it continues a run
-// started by RunCostAware from its checkpoint, warm when the checkpoint
-// carries the assignment engine's unit-gain cache.
-func ResumeCostAware(ctx context.Context, ds *dataset.Dataset, cfg Config, c *Checkpoint) (*Result, error) {
-	ce, beliefs, err := resumeSetup(ds, &cfg, c)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runCost(ctx, ds, cfg, ce, beliefs, c.Selection, c.StopVotes, c.BudgetSpent)
-	if err != nil {
-		return nil, err
-	}
-	return accumulate(res, c.BudgetSpent), nil
 }

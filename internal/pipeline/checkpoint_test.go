@@ -42,7 +42,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 	resume := baseConfig(ds)
 	resume.Budget = 40 // total job budget
-	resResumed, err := Resume(context.Background(), ds, resume, restored)
+	resume.From = restored
+	resResumed, err := Run(context.Background(), ds, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +205,15 @@ func TestResumeValidation(t *testing.T) {
 	// Mismatched dataset.
 	other := smallDataset(t, 84)
 	otherCfg := baseConfig(other)
-	ck2 := &Checkpoint{Beliefs: ck.Beliefs[:len(ck.Beliefs)-1], BudgetSpent: ck.BudgetSpent}
-	if _, err := Resume(ctx, other, otherCfg, ck2); err == nil {
+	otherCfg.From = &Checkpoint{Beliefs: ck.Beliefs[:len(ck.Beliefs)-1], BudgetSpent: ck.BudgetSpent}
+	if _, err := Run(ctx, other, otherCfg); err == nil {
 		t.Error("task-count mismatch accepted")
 	}
 	// Exhausted budget resumes to a no-op.
 	done := baseConfig(ds)
 	done.Budget = ck.BudgetSpent // nothing left
-	resDone, err := Resume(ctx, ds, done, ck)
+	done.From = ck
+	resDone, err := Run(ctx, ds, done)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +224,8 @@ func TestResumeValidation(t *testing.T) {
 		t.Errorf("exhausted resume spend %v", resDone.BudgetSpent)
 	}
 	// Missing source.
-	noSrc := Config{K: 1, Budget: 20}
-	if _, err := Resume(ctx, ds, noSrc, ck); err == nil {
+	noSrc := Config{K: 1, Budget: 20, From: ck}
+	if _, err := Run(ctx, ds, noSrc); err == nil {
 		t.Error("missing source accepted")
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 func TestInitBeliefsCoupledInjectsCorrelation(t *testing.T) {
 	ds := smallDataset(t, 31)
-	coupled, err := InitBeliefsCoupled(ds, defaultInit(), false, 0.7)
+	coupled, err := initBeliefs(ds, Config{PriorCoupling: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := InitBeliefsCoupled(ds, defaultInit(), false, 0)
+	flat, err := initBeliefs(ds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

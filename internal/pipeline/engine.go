@@ -52,6 +52,12 @@ type roundPlan interface {
 	admit(total int)
 }
 
+// The loop flavors' names, as RoundMetrics.Flavor reports them.
+const (
+	flavorUniform   = "uniform"
+	flavorCostAware = "costaware"
+)
+
 // stopState tracks the per-fact vote counts and frozen masks of the
 // Abraham et al. stopping rule across rounds. A nil rule makes every
 // method a no-op and the frozen mask nil.
@@ -145,12 +151,12 @@ func (s *stopState) snapshot() *StopVotes {
 	}
 }
 
-// runEngine is the single checking loop behind Run, RunCostAware,
-// RunTiers and both resume flavors: repeatedly ask the plan what to buy,
-// collect the answers in deterministic order, charge for the answers
-// actually received, update the touched beliefs, track the stopping rule,
-// and record the round. spentBefore is the budget consumed before this
-// engine started (resume), folded into the checkpoints it emits.
+// runEngine is the single checking loop behind Run, RunCostAware and
+// RunTiers: repeatedly ask the plan what to buy, collect the answers in
+// deterministic order, charge for the answers actually received, update
+// the touched beliefs, track the stopping rule, and record the round.
+// spentBefore is the budget consumed before this engine started
+// (resume), folded into the checkpoints it emits.
 func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Crowd, beliefs []*belief.Dist, plan roundPlan, st *stopState, spentBefore float64) (*Result, error) {
 	if cfg.BudgetWindow < 0 {
 		return nil, errors.New("pipeline: Config.BudgetWindow must not be negative")
@@ -333,20 +339,12 @@ func runEngine(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Cr
 		}
 		admitted = 0
 		prevQ = q
-		if cfg.Journal != nil || cfg.OnCheckpoint != nil {
-			ck := engineCheckpoint(res, plan, st, spentBefore)
-			if cfg.Journal != nil {
-				// The durability commit point: the round's answers were
-				// already journaled as they arrived; this folds them into a
-				// checkpoint record. A journal that cannot commit stops the
-				// run — advancing past an un-durable round would make the
-				// in-memory state unrecoverable.
-				if err := cfg.Journal.CommitRound(round, ck); err != nil {
-					return nil, fmt.Errorf("pipeline: journal commit round %d: %w", round, err)
-				}
-			}
-			if cfg.OnCheckpoint != nil {
-				cfg.OnCheckpoint(ck)
+		if cfg.Journal != nil {
+			// The round's commit point: a hook that cannot commit stops the
+			// run — advancing past an un-durable round would make the
+			// in-memory state unrecoverable.
+			if err := cfg.Journal(round, engineCheckpoint(res, plan, st, spentBefore)); err != nil {
+				return nil, fmt.Errorf("pipeline: journal commit round %d: %w", round, err)
 			}
 		}
 	}
@@ -406,7 +404,7 @@ func checkCosts(cost func(w crowd.Worker) float64, ce crowd.Crowd) error {
 // newUniformPlan builds the plan; warm, when non-nil, primes the
 // incremental selector's gain cache (a mismatched cache degrades to a
 // cold first scan, never to wrong picks).
-func newUniformPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (*uniformPlan, error) {
+func newUniformPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (roundPlan, error) {
 	sel := cfg.Selector
 	var state *taskselect.SelectionState
 	switch v := sel.(type) {
@@ -417,7 +415,7 @@ func newUniformPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache)
 		state = v
 	}
 	if state != nil && warm != nil {
-		// A cache of the wrong kind is for the other flavor; run cold.
+		// An invalid cache runs cold; run rejects the other flavor's.
 		_ = state.RestoreCache(warm)
 	}
 	perPick := float64(len(ce))
@@ -479,7 +477,7 @@ func (u *uniformPlan) cache() *taskselect.SelectionCache {
 	return nil
 }
 
-func (u *uniformPlan) flavor() string { return "uniform" }
+func (u *uniformPlan) flavor() string { return flavorUniform }
 
 func (u *uniformPlan) stats() taskselect.SelectStats {
 	if u.state != nil {
@@ -504,7 +502,7 @@ type costPlan struct {
 
 // newCostPlan builds the plan, validating the cost model against the
 // expert crowd; warm primes the unit-gain cache as in newUniformPlan.
-func newCostPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (*costPlan, error) {
+func newCostPlan(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (roundPlan, error) {
 	if len(ce) == 0 {
 		// Guard here, not only in the callers: meanCost below divides by
 		// len(ce), and a NaN mean would silently poison the per-round
@@ -592,6 +590,6 @@ func (c *costPlan) invalidate(tasks []int) { c.state.Invalidate(tasks...) }
 
 func (c *costPlan) cache() *taskselect.SelectionCache { return c.state.ExportCache() }
 
-func (c *costPlan) flavor() string { return "costaware" }
+func (c *costPlan) flavor() string { return flavorCostAware }
 
 func (c *costPlan) stats() taskselect.SelectStats { return c.state.Stats() }

@@ -1,53 +1,55 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
 )
 
-// TestJournalHookCommitsEveryRound pins the Config.Journal contract:
-// CommitRound fires once per completed round, with 1-based round
-// numbers, at the same serialization point as OnCheckpoint (the commit
-// strictly before the advisory hook), and receives the identical
-// checkpoint value.
+// TestJournalHookCommitsEveryRound pins the Config.Journal contract: the
+// round hook fires once per completed round, with 1-based round numbers,
+// and receives that round's warm checkpoint — its spend is the round's
+// cumulative spend, and the last one serializes byte-identically to the
+// finished run's checkpoint.
 func TestJournalHookCommitsEveryRound(t *testing.T) {
 	ds := smallDataset(t, 90)
 	cfg := baseConfig(ds)
 	cfg.Budget = 30
 
 	var committed []int
-	var hookCks, journalCks []*Checkpoint
-	cfg.Journal = RoundRecorderFunc(func(round int, ck *Checkpoint) error {
+	var journalCks []*Checkpoint
+	cfg.Journal = func(round int, ck *Checkpoint) error {
 		committed = append(committed, round)
 		journalCks = append(journalCks, ck)
-		if len(journalCks) != len(hookCks)+1 {
-			t.Error("OnCheckpoint ran before the journal commit")
-		}
 		return nil
-	})
-	cfg.OnCheckpoint = func(ck *Checkpoint) { hookCks = append(hookCks, ck) }
+	}
 
 	res, err := Run(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(committed) != len(res.Rounds) {
-		t.Fatalf("CommitRound fired %d times for %d rounds", len(committed), len(res.Rounds))
+		t.Fatalf("the round hook fired %d times for %d rounds", len(committed), len(res.Rounds))
 	}
 	for i, r := range committed {
 		if r != i+1 {
 			t.Fatalf("commit %d carried round %d, want %d", i, r, i+1)
 		}
-	}
-	if len(journalCks) != len(hookCks) {
-		t.Fatalf("journal saw %d checkpoints, OnCheckpoint %d", len(journalCks), len(hookCks))
-	}
-	for i := range journalCks {
-		if journalCks[i] != hookCks[i] {
-			t.Errorf("round %d: journal and OnCheckpoint got different checkpoint values", i+1)
+		if got, want := journalCks[i].BudgetSpent, res.Rounds[i].BudgetSpent; got != want {
+			t.Errorf("round %d: checkpoint spend %v, want %v", i+1, got, want)
 		}
+	}
+	var last, final bytes.Buffer
+	if err := journalCks[len(journalCks)-1].Write(&last); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewCheckpoint(res).Write(&final); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(last.Bytes(), final.Bytes()) {
+		t.Error("the last round's checkpoint differs from the finished run's")
 	}
 }
 
@@ -61,17 +63,15 @@ func TestJournalHookErrorAbortsRun(t *testing.T) {
 
 	sentinel := errors.New("disk on fire")
 	calls := 0
-	cfg.Journal = RoundRecorderFunc(func(round int, ck *Checkpoint) error {
+	cfg.Journal = func(round int, ck *Checkpoint) error {
 		calls++
 		if calls == 2 {
 			return sentinel
 		}
 		return nil
-	})
-	var checkpoints int
-	cfg.OnCheckpoint = func(*Checkpoint) { checkpoints++ }
+	}
 
-	_, err := Run(context.Background(), ds, cfg)
+	res, err := Run(context.Background(), ds, cfg)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("run error = %v, want the journal's", err)
 	}
@@ -79,9 +79,9 @@ func TestJournalHookErrorAbortsRun(t *testing.T) {
 		t.Errorf("error %q does not name the failed round", err)
 	}
 	if calls != 2 {
-		t.Errorf("CommitRound fired %d times after a round-2 failure, want 2", calls)
+		t.Errorf("the round hook fired %d times after a round-2 failure, want 2", calls)
 	}
-	if checkpoints != 1 {
-		t.Errorf("OnCheckpoint fired %d times, want 1 (the failed round's advisory hook must not run)", checkpoints)
+	if res != nil {
+		t.Errorf("an aborted run returned a result: %+v", res)
 	}
 }

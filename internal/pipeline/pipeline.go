@@ -104,21 +104,26 @@ type Config struct {
 	// MaxRounds caps the number of rounds as a safety net; 0 means
 	// unlimited (the budget is the binding constraint).
 	MaxRounds int
-	// OnCheckpoint, when set, receives a freshly built warm checkpoint
-	// after every completed round: cloned beliefs, cumulative spend, the
-	// incremental selector's gain cache and the stopping rule's vote
-	// counts. The callback owns the value (persist it, hand it to
-	// Resume/ResumeCostAware); it runs synchronously on the loop.
-	OnCheckpoint func(c *Checkpoint)
-	// Journal, when set, is the durability hook: after every completed
-	// round — at the same serialization point OnCheckpoint fires, and
-	// just before it — the engine hands the round number and the round's
-	// warm checkpoint to CommitRound and ABORTS THE RUN if it errors.
-	// OnCheckpoint is advisory (a failed persist loses nothing but a
-	// resume point); Journal is the write-ahead commit a crash-recoverable
-	// service depends on, so an un-durable round must stop the loop
-	// rather than let the in-memory state advance past the log.
-	Journal RoundRecorder
+	// Journal, when set, is the round hook: after every completed round
+	// the engine hands it the round number (counting from 1 within this
+	// run) and the round's warm checkpoint — cloned beliefs, cumulative
+	// spend, the incremental selector's gain cache and the stopping
+	// rule's vote counts. The checkpoint is immutable and the hook may
+	// keep it. A non-nil error ABORTS THE RUN: a write-ahead journal that
+	// cannot commit a round must stop the loop rather than let the
+	// in-memory state advance past the log. Advisory hooks (a checkpoint
+	// file writer) return nil. It runs synchronously on the loop.
+	Journal func(round int, ck *Checkpoint) error
+	// From, when set, resumes the job from a checkpoint instead of
+	// initializing fresh beliefs: Budget is then the job's total budget,
+	// of which the checkpoint's spend is already consumed, and the
+	// initialization settings (Init, UniformInit, Prior, PriorCoupling)
+	// are ignored — the checkpointed beliefs are the state. A version-1
+	// checkpoint resumes warm: its selection cache skips the initial
+	// full gain scan and its stop votes restore the frozen facts. A
+	// checkpoint written by the other loop flavor is rejected (see
+	// Checkpoint.CheckFlavor).
+	From *Checkpoint
 	// Metrics, when set, receives one RoundMetrics per completed round.
 	// Purely observational: attaching a sink never changes the run's
 	// picks, answers, spend or labels.
@@ -137,21 +142,6 @@ type Config struct {
 	// be negative.
 	BudgetWindow float64
 }
-
-// RoundRecorder commits one completed round to durable storage (see
-// Config.Journal). round counts engine rounds from 1 within this run;
-// ck is the round's warm checkpoint (the same immutable value
-// OnCheckpoint receives). A non-nil error aborts the run: the engine
-// never advances past a round the journal did not accept.
-type RoundRecorder interface {
-	CommitRound(round int, ck *Checkpoint) error
-}
-
-// RoundRecorderFunc adapts a function to RoundRecorder.
-type RoundRecorderFunc func(round int, ck *Checkpoint) error
-
-// CommitRound implements RoundRecorder.
-func (f RoundRecorderFunc) CommitRound(round int, ck *Checkpoint) error { return f(round, ck) }
 
 // RoundStats records one checking round for the experiment curves.
 type RoundStats struct {
@@ -196,55 +186,104 @@ type Result struct {
 // Run executes Algorithm 3 (or Algorithm 1 when cfg.Selector is
 // taskselect.Exact) on the dataset.
 func Run(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
-	if err := ds.Validate(); err != nil {
+	return run(ctx, ds, cfg, newUniformPlan)
+}
+
+// RunCostAware executes the §III-D cost extension end to end: instead of
+// sending every selected query to every expert, each round greedily buys
+// individual (query, expert) answer units by gain-per-cost until the
+// round's chunk of the budget is spent. cfg.Cost prices one answer (unit
+// cost when nil); cfg.K scales the per-round chunk to K times the mean
+// expert answer price, mirroring the K·|CE| cadence of the uniform
+// design. It runs on the same round engine as Run — the budget is
+// charged for answers actually received, cfg.Stop freezes settled facts
+// out of the assignment selection, and unit gains are cached between
+// rounds (see taskselect.AssignState).
+func RunCostAware(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
+	return run(ctx, ds, cfg, newCostPlan)
+}
+
+// planFunc builds one loop flavor's purchasing plan over the expert crowd
+// ce; warm, when non-nil, primes its selection cache.
+type planFunc func(cfg Config, ce crowd.Crowd, warm *taskselect.SelectionCache) (roundPlan, error)
+
+// run is the one checking-loop core behind Run and RunCostAware: validate
+// the inputs, take the beliefs from cfg.From or the configured
+// initializer, build the stop state and the plan, and run the engine.
+// A resumed run's budget is clamped to what remains and its report reads
+// cumulatively from the job's start.
+func run(ctx context.Context, ds *dataset.Dataset, cfg Config, newPlan planFunc) (*Result, error) {
+	if err := prepare(ds, &cfg); err != nil {
 		return nil, err
-	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("pipeline: K = %d, need >= 1", cfg.K)
-	}
-	if cfg.Source == nil {
-		return nil, errors.New("pipeline: Config.Source is required")
-	}
-	if cfg.Selector == nil {
-		cfg.Selector = defaultSelector()
-	}
-	if cfg.Init == nil {
-		cfg.Init = aggregate.MV{}
 	}
 	ce, _ := ds.Split()
 	if len(ce) == 0 {
 		return nil, errors.New("pipeline: no expert workers above theta")
 	}
-	beliefs, err := initFor(ds, cfg)
-	if err != nil {
-		return nil, err
+	var beliefs []*belief.Dist
+	var warm *taskselect.SelectionCache
+	var votes *StopVotes
+	var spentBefore float64
+	if c := cfg.From; c != nil {
+		if err := c.matches(ds); err != nil {
+			return nil, err
+		}
+		cfg.Budget = math.Max(cfg.Budget-c.BudgetSpent, 0)
+		beliefs = make([]*belief.Dist, len(c.Beliefs))
+		for i, b := range c.Beliefs {
+			beliefs[i] = b.Clone()
+		}
+		warm, votes, spentBefore = c.Selection, c.StopVotes, c.BudgetSpent
+	} else {
+		var err error
+		if beliefs, err = initBeliefs(ds, cfg); err != nil {
+			return nil, err
+		}
 	}
-	return runUniform(ctx, ds, cfg, ce, beliefs, nil, nil, 0)
+	return runWith(ctx, ds, cfg, ce, beliefs, newPlan, warm, votes, spentBefore)
 }
 
-// runUniform assembles the uniform-pick flavor of the engine; warm and
-// votes prime a resumed run's selection cache and stop-rule counts,
-// spentBefore its cumulative spend. Run, Resume and RunTiers share it.
-func runUniform(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Crowd, beliefs []*belief.Dist, warm *taskselect.SelectionCache, votes *StopVotes, spentBefore float64) (*Result, error) {
+// runWith runs the checking loop from set-up beliefs: it builds the stop
+// state and the plan (warm from the checkpoint's selection cache and stop
+// votes when resuming), runs the engine over the experts ce, and folds
+// spentBefore back into the result.
+func runWith(ctx context.Context, ds *dataset.Dataset, cfg Config, ce crowd.Crowd, beliefs []*belief.Dist, newPlan planFunc, warm *taskselect.SelectionCache, votes *StopVotes, spentBefore float64) (*Result, error) {
 	st, err := newStopState(ds, cfg.Stop, votes)
 	if err != nil {
 		return nil, err
 	}
-	// The plan is created here — never stored in cfg — so each run (and
-	// each tier, whose crowd differs) starts from its own state.
-	plan, err := newUniformPlan(cfg, ce, warm)
+	// The plan is created here — never stored in cfg — so each run starts
+	// from its own selection state.
+	plan, err := newPlan(cfg, ce, warm)
 	if err != nil {
 		return nil, err
 	}
-	return runEngine(ctx, ds, cfg, ce, beliefs, plan, st, spentBefore)
+	if err := cfg.From.CheckFlavor(plan.flavor() == flavorCostAware); err != nil {
+		return nil, err
+	}
+	res, err := runEngine(ctx, ds, cfg, ce, beliefs, plan, st, spentBefore)
+	if err != nil {
+		return nil, err
+	}
+	return accumulate(res, spentBefore), nil
 }
 
-// initFor resolves the configured initialization strategy.
-func initFor(ds *dataset.Dataset, cfg Config) ([]*belief.Dist, error) {
-	if cfg.Prior != nil {
-		return InitBeliefsWithPrior(ds, cfg.Init, cfg.UniformInit, cfg.Prior)
+// prepare validates the inputs every entry point shares and fills the
+// Selector default (initBeliefs fills Init's).
+func prepare(ds *dataset.Dataset, cfg *Config) error {
+	if err := ds.Validate(); err != nil {
+		return err
 	}
-	return InitBeliefsCoupled(ds, cfg.Init, cfg.UniformInit, cfg.PriorCoupling)
+	if cfg.K < 1 {
+		return fmt.Errorf("pipeline: K = %d, need >= 1", cfg.K)
+	}
+	if cfg.Source == nil {
+		return errors.New("pipeline: Config.Source is required")
+	}
+	if cfg.Selector == nil {
+		cfg.Selector = taskselect.Greedy{}
+	}
+	return nil
 }
 
 // InitBeliefs builds one belief per task. With uniform == true every task
@@ -252,27 +291,22 @@ func initFor(ds *dataset.Dataset, cfg Config) ([]*belief.Dist, error) {
 // aggregator runs on the preliminary matrix and each task belief is the
 // independent product of its facts' posteriors (Equation 15).
 func InitBeliefs(ds *dataset.Dataset, init aggregate.Aggregator, uniform bool) ([]*belief.Dist, error) {
-	return InitBeliefsCoupled(ds, init, uniform, 0)
+	return initBeliefs(ds, Config{Init: init, UniformInit: uniform})
 }
 
-// InitBeliefsCoupled is InitBeliefs with a Markov-chain structural prior
-// of the given coupling blended into every task belief, so the checking
-// loop can propagate expert evidence across correlated facts.
-func InitBeliefsCoupled(ds *dataset.Dataset, init aggregate.Aggregator, uniform bool, coupling float64) ([]*belief.Dist, error) {
-	if coupling == 0 {
-		return InitBeliefsWithPrior(ds, init, uniform, nil)
+// initBeliefs is the one belief initializer, driven by cfg's
+// initialization settings: Init aggregates the preliminary answers (MV
+// when nil) unless UniformInit is set, and the structural joint prior —
+// Prior, or else a Markov chain of coupling PriorCoupling when non-zero —
+// is blended into every task belief (or used alone when uniform).
+func initBeliefs(ds *dataset.Dataset, cfg Config) ([]*belief.Dist, error) {
+	prior := cfg.Prior
+	if prior == nil && cfg.PriorCoupling != 0 {
+		prior = func(m int) (*belief.Dist, error) { return belief.MarkovPrior(m, cfg.PriorCoupling) }
 	}
-	return InitBeliefsWithPrior(ds, init, uniform, func(m int) (*belief.Dist, error) {
-		return belief.MarkovPrior(m, coupling)
-	})
-}
-
-// InitBeliefsWithPrior is the general initializer: prior(m), when
-// non-nil, supplies the structural joint prior for every m-fact task and
-// is blended with the aggregated marginals (or used alone when uniform).
-func InitBeliefsWithPrior(ds *dataset.Dataset, init aggregate.Aggregator, uniform bool, prior func(int) (*belief.Dist, error)) ([]*belief.Dist, error) {
+	init := cfg.Init
 	if init == nil {
-		init = defaultInit()
+		init = aggregate.MV{}
 	}
 	beliefs := make([]*belief.Dist, len(ds.Tasks))
 	priors := make(map[int]*belief.Dist) // by fact count
@@ -290,7 +324,7 @@ func InitBeliefsWithPrior(ds *dataset.Dataset, init aggregate.Aggregator, unifor
 		priors[m] = d
 		return d, nil
 	}
-	if uniform {
+	if cfg.UniformInit {
 		for t, facts := range ds.Tasks {
 			prior, err := priorFor(len(facts))
 			if err != nil {
@@ -408,8 +442,3 @@ func finalLabels(ds *dataset.Dataset, beliefs []*belief.Dist) []bool {
 func NewSimulated(seed int64, ds *dataset.Dataset) Simulated {
 	return Simulated{Rng: rngutil.New(seed), Truth: ds.TruthFn()}
 }
-
-// defaultSelector and defaultInit centralize the Run/RunTiers defaults.
-func defaultSelector() taskselect.Selector { return taskselect.Greedy{} }
-
-func defaultInit() aggregate.Aggregator { return aggregate.MV{} }

@@ -414,6 +414,11 @@ func TestRunTiersValidation(t *testing.T) {
 	if _, err := RunTiers(ctx, ds, Config{K: 0, Source: base.Source}, []TierConfig{{Experts: crowd.Crowd{{ID: "e", Accuracy: 0.95}}, Budget: 5}}); err == nil {
 		t.Error("K=0 accepted")
 	}
+	resumed := base
+	resumed.From = &Checkpoint{}
+	if _, err := RunTiers(ctx, ds, resumed, []TierConfig{{Experts: crowd.Crowd{{ID: "e", Accuracy: 0.95}}, Budget: 5}}); err == nil {
+		t.Error("a checkpoint to resume from accepted")
+	}
 }
 
 func TestSplitTiers(t *testing.T) {

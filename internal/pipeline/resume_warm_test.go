@@ -18,7 +18,6 @@ type warmFlavor struct {
 	name   string
 	config func(t *testing.T, ds *dataset.Dataset) Config
 	run    func(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error)
-	resume func(ctx context.Context, ds *dataset.Dataset, cfg Config, c *Checkpoint) (*Result, error)
 }
 
 func warmFlavors() []warmFlavor {
@@ -48,10 +47,10 @@ func warmFlavors() []warmFlavor {
 		}
 	}
 	return []warmFlavor{
-		{"uniform", uniform(nil), Run, Resume},
-		{"uniform-stop", uniform(&StopRule{C: 2, Eps: 0.1}), Run, Resume},
-		{"cost-aware", withCost(nil), RunCostAware, ResumeCostAware},
-		{"cost-aware-stop", withCost(&StopRule{C: 2, Eps: 0.1}), RunCostAware, ResumeCostAware},
+		{"uniform", uniform(nil), Run},
+		{"uniform-stop", uniform(&StopRule{C: 2, Eps: 0.1}), Run},
+		{"cost-aware", withCost(nil), RunCostAware},
+		{"cost-aware-stop", withCost(&StopRule{C: 2, Eps: 0.1}), RunCostAware},
 	}
 }
 
@@ -105,8 +104,9 @@ func stagedResume(t *testing.T, fl warmFlavor, b1, total float64, warm bool) (*R
 	}
 	cfg2 := cfg
 	cfg2.Budget = total
+	cfg2.From = ck
 	taskselect.ResetEvalCount()
-	resumed, err := fl.resume(ctx, ds, cfg2, ck)
+	resumed, err := fl.run(ctx, ds, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +228,79 @@ func TestCheckpointOldFormatLoads(t *testing.T) {
 	}
 	cfg2 := baseConfig(ds)
 	cfg2.Budget = 40
-	resumed, err := Resume(ctx, ds, cfg2, ck)
+	cfg2.From = ck
+	resumed, err := Run(ctx, ds, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.BudgetSpent <= res.BudgetSpent {
 		t.Errorf("resume from old checkpoint spent nothing: %v -> %v", res.BudgetSpent, resumed.BudgetSpent)
 	}
+}
+
+// TestResumeFlavorMismatch: resuming a checkpoint under the other loop
+// flavor is an error naming both flavors — it used to succeed and
+// quietly run the other algorithm cold. A cache-less checkpoint (the
+// selection cache stripped, as in a version-0 file, or a uniform run
+// whose selector is not incremental) still resumes under either flavor.
+func TestResumeFlavorMismatch(t *testing.T) {
+	ctx := context.Background()
+	checkpointOf := func(t *testing.T, fl warmFlavor, mutate func(*Config)) (*dataset.Dataset, Config, *Checkpoint) {
+		t.Helper()
+		ds := smallDataset(t, 4)
+		cfg := fl.config(t, ds)
+		cfg1 := cfg
+		cfg1.Budget = 12
+		if mutate != nil {
+			mutate(&cfg1)
+		}
+		part1, err := fl.run(ctx, ds, cfg1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := NewCheckpoint(part1).Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.From = ck
+		return ds, cfg, ck
+	}
+	flavors := warmFlavors()
+	uniform, costAware := flavors[0], flavors[2]
+	for _, tc := range []struct {
+		name      string
+		wrote, to warmFlavor
+	}{{"uniform-to-cost-aware", uniform, costAware}, {"cost-aware-to-uniform", costAware, uniform}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, cfg, _ := checkpointOf(t, tc.wrote, nil)
+			res, err := tc.to.run(ctx, ds, cfg)
+			if err == nil {
+				t.Fatalf("mismatched resume succeeded with %d rounds", len(res.Rounds))
+			}
+			for _, name := range []string{"uniform", "cost-aware"} {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not name the %s flavor", err, name)
+				}
+			}
+			// The same checkpoint without its selection cache resumes.
+			ds, cfg, ck := checkpointOf(t, tc.wrote, nil)
+			ck.Selection = nil
+			if _, err := tc.to.run(ctx, ds, cfg); err != nil {
+				t.Errorf("cache-less checkpoint rejected: %v", err)
+			}
+		})
+	}
+	t.Run("exact-selector-to-cost-aware", func(t *testing.T) {
+		ds, cfg, ck := checkpointOf(t, uniform, func(c *Config) { c.Selector = taskselect.Exact{} })
+		if ck.Selection != nil {
+			t.Fatal("a non-incremental selector wrote a selection cache")
+		}
+		if _, err := costAware.run(ctx, ds, cfg); err != nil {
+			t.Errorf("cache-less checkpoint rejected: %v", err)
+		}
+	})
 }

@@ -193,7 +193,7 @@ func TestOverspendClampFixedBudget(t *testing.T) {
 	rec := &MetricsRecorder{}
 	cfg.Metrics = rec
 	var cks []*Checkpoint
-	cfg.OnCheckpoint = func(ck *Checkpoint) { cks = append(cks, ck) }
+	cfg.Journal = func(_ int, ck *Checkpoint) error { cks = append(cks, ck); return nil }
 	res, err := Run(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestPartialRoundAccounting(t *testing.T) {
 	rec := &MetricsRecorder{}
 	cfg.Metrics = rec
 	var cks []*Checkpoint
-	cfg.OnCheckpoint = func(ck *Checkpoint) { cks = append(cks, ck) }
+	cfg.Journal = func(_ int, ck *Checkpoint) error { cks = append(cks, ck); return nil }
 	res, err := Run(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,17 +25,14 @@ type TierConfig struct {
 // Init, Source and the optional cost model; its Budget field is ignored in
 // favor of the per-tier budgets.
 func RunTiers(ctx context.Context, ds *dataset.Dataset, base Config, tiers []TierConfig) (*Result, error) {
-	if err := ds.Validate(); err != nil {
+	if err := prepare(ds, &base); err != nil {
 		return nil, err
+	}
+	if base.From != nil {
+		return nil, errors.New("pipeline: RunTiers cannot resume from a checkpoint")
 	}
 	if len(tiers) == 0 {
 		return nil, errors.New("pipeline: no tiers")
-	}
-	if base.K < 1 {
-		return nil, fmt.Errorf("pipeline: K = %d, need >= 1", base.K)
-	}
-	if base.Source == nil {
-		return nil, errors.New("pipeline: Config.Source is required")
 	}
 	for i, tier := range tiers {
 		if len(tier.Experts) == 0 {
@@ -45,13 +42,7 @@ func RunTiers(ctx context.Context, ds *dataset.Dataset, base Config, tiers []Tie
 			return nil, fmt.Errorf("pipeline: tier %d: %w", i, err)
 		}
 	}
-	if base.Selector == nil {
-		base.Selector = defaultSelector()
-	}
-	if base.Init == nil {
-		base.Init = defaultInit()
-	}
-	beliefs, err := initFor(ds, base)
+	beliefs, err := initBeliefs(ds, base)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +50,7 @@ func RunTiers(ctx context.Context, ds *dataset.Dataset, base Config, tiers []Tie
 	for i, tier := range tiers {
 		cfg := base
 		cfg.Budget = tier.Budget
-		res, err := runUniform(ctx, ds, cfg, tier.Experts, beliefs, nil, nil, 0)
+		res, err := runWith(ctx, ds, cfg, tier.Experts, beliefs, newUniformPlan, nil, nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: tier %d: %w", i, err)
 		}

@@ -201,7 +201,7 @@ func (c *Client) Status(ctx context.Context) (Status, error) {
 
 // Checkpoint fetches the session's latest warm checkpoint; ok is false
 // before the first round completes. The returned checkpoint feeds
-// pipeline.Resume, NewSession's SessionOptions.Checkpoint, or a create
+// pipeline.Config.From (in a plain run or NewSession) or a create
 // payload's checkpoint field for a warm restart.
 func (c *Client) Checkpoint(ctx context.Context) (*pipeline.Checkpoint, bool, error) {
 	var ck *pipeline.Checkpoint

@@ -17,12 +17,6 @@ import (
 	"hcrowd/internal/cluster"
 )
 
-// maxHandoffBytes caps an accepted journal image. Journals compact to
-// their newest checkpoint every CompactEvery rounds, so a legitimate
-// image is far below this; anything larger is a confused or malicious
-// peer, refused before it can balloon memory.
-const maxHandoffBytes = 1 << 30
-
 // defaultHandoffTimeout bounds the source->target push of one journal
 // image when ClusterOptions.HTTPClient is nil.
 const defaultHandoffTimeout = 30 * time.Second
@@ -217,9 +211,8 @@ func (c *Cluster) routeSession(w http.ResponseWriter, r *http.Request, id string
 // client re-send the payload there; the proxy mode forwards it), while
 // unnamed sessions — the manager generates an ID — are created locally.
 func (c *Cluster) routeCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		c.rt.httpError(w, http.StatusBadRequest, "read create payload: "+err.Error())
+	body, ok := c.rt.decodeBody(w, r, maxSessionBytes, "create payload", nil)
+	if !ok {
 		return
 	}
 	r.Body = io.NopCloser(bytes.NewReader(body))
@@ -334,20 +327,12 @@ func (c *Cluster) pushHandoff(ctx context.Context, target, id string, data []byt
 // ack the source's retire step depends on.
 func (c *Cluster) accept(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxHandoffBytes))
-	if err != nil {
-		c.rt.httpError(w, http.StatusBadRequest, "read journal image: "+err.Error())
+	data, ok := c.rt.decodeBody(w, r, maxSessionBytes, "journal image", nil)
+	if !ok {
 		return
 	}
 	if err := c.m.AcceptHandoff(id, data); err != nil {
-		code := http.StatusUnprocessableEntity
-		switch {
-		case errors.Is(err, ErrDuplicateSession):
-			code = http.StatusConflict
-		case errors.Is(err, ErrManagerDraining):
-			code = http.StatusServiceUnavailable
-		}
-		c.rt.httpError(w, code, err.Error())
+		c.rt.httpError(w, refusalCode(err, http.StatusUnprocessableEntity), err.Error())
 		return
 	}
 	c.m.metrics.clusterAccepts.Inc()

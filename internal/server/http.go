@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -44,8 +46,8 @@ type AdmitTasksRequest struct {
 // round is closed or the answer is otherwise rejected, 410 once the
 // session has finished, 503 while the service drains. The checkpoint
 // endpoint lets an operator persist the session's progress and later
-// restart the job with NewSession's SessionOptions.Checkpoint (or
-// hcrowd.Resume) without re-asking the experts anything.
+// restart the job with it as pipeline.Config.From (in NewSession or a
+// plain run) without re-asking the experts anything.
 func sessionRoutes(s *Session, logger *log.Logger) http.Handler {
 	rt := newRouter(s.Metrics().http, logger)
 	h := &httpHandler{s: s, rt: rt}
@@ -214,6 +216,44 @@ func (rt *router) httpError(w http.ResponseWriter, code int, msg string) {
 	rt.writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// Request-body caps, each far above the largest body a legitimate client
+// sends on its route, refused with 413. A create may carry any checkpoint
+// GET /checkpoint serves (2^m beliefs per task), as a journal image does.
+const (
+	maxAnswerBytes  = 1 << 20 // POST /answers: one expert's values for one round
+	maxAdmitBytes   = 8 << 20 // POST /tasks: one batch of task fragments
+	maxSessionBytes = 1 << 30 // POST /v1/sessions (a create) and /v1/cluster/accept (a journal image)
+)
+
+// decodeBody reads a request body of at most limit bytes and, when v is
+// non-nil, decodes it as JSON into v, rejecting unknown fields. An
+// oversized body is answered 413 (one whose declared length is past the
+// cap before any of it is read), an unreadable or malformed one 400
+// (what names the payload); ok reports whether the handler may go on.
+func (rt *router) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) (body []byte, ok bool) {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if err == nil && v != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	if err == nil {
+		return body, true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	rt.httpError(w, code, "bad "+what+": "+err.Error())
+	return nil, false
+}
+
 // httpHandler carries the session and its router through the route
 // handlers.
 type httpHandler struct {
@@ -245,24 +285,32 @@ func (h *httpHandler) answers(w http.ResponseWriter, r *http.Request) {
 		Worker string `json:"worker"`
 		Values []bool `json:"values"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		h.rt.httpError(w, http.StatusBadRequest, "bad answer payload: "+err.Error())
+	if _, ok := h.rt.decodeBody(w, r, maxAnswerBytes, "answer payload", &req); !ok {
 		return
 	}
 	if err := h.s.Answer(req.Round, req.Worker, req.Values); err != nil {
-		code := http.StatusConflict
-		switch {
-		case errors.Is(err, ErrClosed):
-			code = http.StatusGone
-		case errors.Is(err, ErrDraining):
-			code = http.StatusServiceUnavailable
-		}
-		h.rt.httpError(w, code, err.Error())
+		h.rt.httpError(w, refusalCode(err, http.StatusConflict), err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusAccepted)
+}
+
+// refusalCode maps an error refusing a request to its HTTP status: 410
+// once the session has finished, 503 while the session or the manager
+// drains, 409 for a taken session name, 422 for an invalid fragment, and
+// fallback for anything else.
+func refusalCode(err error, fallback int) int {
+	switch {
+	case errors.Is(err, ErrClosed):
+		return http.StatusGone
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrManagerDraining):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrDuplicateSession):
+		return http.StatusConflict
+	case errors.Is(err, ErrBadFragment):
+		return http.StatusUnprocessableEntity
+	}
+	return fallback
 }
 
 // tasks admits a batch of task fragments into a streaming session (one
@@ -272,23 +320,11 @@ func (h *httpHandler) answers(w http.ResponseWriter, r *http.Request) {
 // session has finished; 503 while draining.
 func (h *httpHandler) tasks(w http.ResponseWriter, r *http.Request) {
 	var req AdmitTasksRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		h.rt.httpError(w, http.StatusBadRequest, "bad admit payload: "+err.Error())
+	if _, ok := h.rt.decodeBody(w, r, maxAdmitBytes, "admit payload", &req); !ok {
 		return
 	}
 	if err := h.s.AdmitTasks(req.Fragments, req.Final); err != nil {
-		code := http.StatusConflict
-		switch {
-		case errors.Is(err, ErrClosed):
-			code = http.StatusGone
-		case errors.Is(err, ErrDraining):
-			code = http.StatusServiceUnavailable
-		case errors.Is(err, ErrBadFragment):
-			code = http.StatusUnprocessableEntity
-		}
-		h.rt.httpError(w, code, err.Error())
+		h.rt.httpError(w, refusalCode(err, http.StatusConflict), err.Error())
 		return
 	}
 	h.rt.writeJSON(w, http.StatusAccepted,

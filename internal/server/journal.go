@@ -201,7 +201,7 @@ func (j *sessionJournal) roundSealed(round, answers int) error {
 }
 
 // commitRound journals the engine's per-round checkpoint (the
-// pipeline.RoundRecorder commit point) and, every compactEvery commits,
+// pipeline.Config.Journal commit point) and, every compactEvery commits,
 // folds the whole log into {created, checkpoint} via an atomic rewrite.
 // Compaction happens here because this is the one quiescent point: the
 // engine has consumed every published round, so no round or answer

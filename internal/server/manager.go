@@ -261,12 +261,7 @@ func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, op
 		opts.Logger = m.logger
 	}
 	opts.gate = m.gate(ms)
-	sink := m.metrics.sessionSink(id)
-	if cfg.Metrics != nil {
-		cfg.Metrics = pipeline.MultiMetrics{sink, cfg.Metrics}
-	} else {
-		cfg.Metrics = sink
-	}
+	cfg.Metrics = pipeline.MultiMetrics{m.metrics.sessionSink(id), cfg.Metrics}
 	s, err := NewSession(m.baseCtx, ds, cfg, opts)
 	if err != nil {
 		discardFresh()
@@ -409,7 +404,7 @@ func (m *Manager) recoverOne(path string) (string, error) {
 	if state.base != nil {
 		// The journaled checkpoint supersedes any checkpoint embedded in
 		// the original create payload: it is strictly newer.
-		opts.Checkpoint = state.base
+		cfg.From = state.base
 	}
 	if len(state.admits) > 0 && cfg.BudgetWindow <= 0 {
 		closeOnErr()
@@ -879,7 +874,7 @@ func (m *Manager) Retire(id string) error {
 // admitted, queued sessions are rejected at their gate, every session
 // stops accepting answers, and each engine is given until ctx to
 // consume its in-flight completed round. Each session's final
-// checkpoint — by construction the last one its OnCheckpoint hook saw —
+// checkpoint — by construction the last one its round hook saw —
 // is then written to CheckpointDir as <id>.ckpt.json by
 // WriteCheckpointFile, loadable by pipeline.ReadCheckpoint for a warm
 // resume. Sessions that never completed a round have no checkpoint and
@@ -1070,7 +1065,7 @@ func buildFromRequest(req CreateSessionRequest) (*dataset.Dataset, pipeline.Conf
 		if err != nil {
 			return fail(fmt.Errorf("server: create: checkpoint: %w", err))
 		}
-		opts.Checkpoint = ck
+		cfg.From = ck
 	}
 	return ds, cfg, opts, nil
 }
@@ -1082,6 +1077,12 @@ func (m *Manager) CreateFromRequest(req CreateSessionRequest) (string, *Session,
 	ds, cfg, opts, err := buildFromRequest(req)
 	if err != nil {
 		return "", nil, err
+	}
+	// A checkpoint from the other loop flavor is refused before anything
+	// is journaled. Recovery rebuilds acknowledged sessions without this
+	// check, and such a session's run ends with the same error instead.
+	if err := cfg.From.CheckFlavor(opts.CostAware); err != nil {
+		return "", nil, fmt.Errorf("server: create: %w", err)
 	}
 	opts.journalReq = &req
 	return m.Create(req.Name, ds, cfg, opts)
@@ -1099,30 +1100,20 @@ func (m *Manager) CreateFromRequest(req CreateSessionRequest) (string, *Session,
 //	                              metrics — see Handler's route list)
 //
 // Error codes: 400 malformed payloads, 404 unknown session, 405 wrong
-// method (with Allow), 409 duplicate session name, 503 create during
-// drain.
+// method (with Allow), 409 duplicate session name, 413 oversized body,
+// 503 create during drain.
 func (m *Manager) Handler() http.Handler { return m.handler }
 
 func (m *Manager) buildHandler() http.Handler {
 	rt := newRouter(m.metrics.http, m.logger)
 	rt.handle("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var req CreateSessionRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			rt.httpError(w, http.StatusBadRequest, "bad create payload: "+err.Error())
+		if _, ok := rt.decodeBody(w, r, maxSessionBytes, "create payload", &req); !ok {
 			return
 		}
 		id, _, err := m.CreateFromRequest(req)
 		if err != nil {
-			code := http.StatusBadRequest
-			switch {
-			case errors.Is(err, ErrManagerDraining):
-				code = http.StatusServiceUnavailable
-			case errors.Is(err, ErrDuplicateSession):
-				code = http.StatusConflict
-			}
-			rt.httpError(w, code, err.Error())
+			rt.httpError(w, refusalCode(err, http.StatusBadRequest), err.Error())
 			return
 		}
 		info, _ := m.Info(id)

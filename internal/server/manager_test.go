@@ -214,7 +214,7 @@ func TestManagerMultiSessionDeterministicGivenSeed(t *testing.T) {
 // drain contract: after a few completed rounds, Drain must (a) reject
 // further answers with 503, (b) persist one checkpoint per session to
 // the checkpoint directory, and (c) make the persisted file
-// byte-identical to the last OnCheckpoint emission — so Ctrl-C never
+// byte-identical to the last round-hook emission — so Ctrl-C never
 // loses progress past the last completed round.
 func TestManagerDrainCheckpointDeterministicGivenSeed(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -230,11 +230,12 @@ func TestManagerDrainCheckpointDeterministicGivenSeed(t *testing.T) {
 	var rounds atomic.Int64
 	cfg := pipeline.Config{
 		K: 1, Budget: 200, // far beyond what the test answers: the drain, not the budget, ends the run
-		OnCheckpoint: func(ck *pipeline.Checkpoint) {
+		Journal: func(_ int, ck *pipeline.Checkpoint) error {
 			mu.Lock()
 			lastEmitted = ck
 			mu.Unlock()
 			rounds.Add(1)
+			return nil
 		},
 	}
 	id, s, err := m.Create("drainee", ds, cfg, SessionOptions{})
@@ -301,7 +302,7 @@ func TestManagerDrainCheckpointDeterministicGivenSeed(t *testing.T) {
 		t.Errorf("drained checkpoint spent = %v, want > 0", ck.BudgetSpent)
 	}
 
-	// (c) the file is byte-identical to the last OnCheckpoint emission.
+	// (c) the file is byte-identical to the last round-hook emission.
 	mu.Lock()
 	last := lastEmitted
 	mu.Unlock()
@@ -313,12 +314,12 @@ func TestManagerDrainCheckpointDeterministicGivenSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, want.Bytes()) {
-		t.Errorf("drained file differs from last OnCheckpoint emission (%d vs %d bytes)",
+		t.Errorf("drained file differs from last round-hook emission (%d vs %d bytes)",
 			len(raw), want.Len())
 	}
 
 	// The checkpoint warm-resumes into a fresh session.
-	resumed, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: ck.BudgetSpent + 8}, SessionOptions{Checkpoint: ck})
+	resumed, err := NewSession(ctx, ds, pipeline.Config{K: 1, Budget: ck.BudgetSpent + 8, From: ck}, SessionOptions{})
 	if err != nil {
 		t.Fatalf("resume from drained checkpoint: %v", err)
 	}

@@ -96,9 +96,8 @@ type Session struct {
 	// replay is the journaled round suffix a recovered session still owes
 	// the engine: publish pops it, validates the engine re-planned the
 	// identical round, and injects the journaled answers before going
-	// live. costAware selects the cost-aware engine flavor.
-	replay    []*replayRound //hclint:guardedby mu
-	costAware bool
+	// live.
+	replay []*replayRound //hclint:guardedby mu
 
 	// Streaming admission (enabled when the config carries a budget
 	// window): AdmitTasks journals and queues fragments, the engine's
@@ -139,9 +138,6 @@ type SessionOptions struct {
 	// RoundTimeout closes a round with the partial answers collected once
 	// the deadline passes; 0 waits for the full panel forever.
 	RoundTimeout time.Duration
-	// Checkpoint, when non-nil, resumes the job from a warm checkpoint
-	// instead of starting fresh.
-	Checkpoint *pipeline.Checkpoint
 	// Logger, when non-nil, receives round-transition log lines
 	// (published / completed / expired / rejected stragglers).
 	Logger *log.Logger
@@ -179,11 +175,10 @@ type stagedAdmit struct {
 // NewSession starts the pipeline on ds with cfg; cfg.Source is replaced
 // by the session's answer queue. The loop runs until the budget is
 // exhausted, the context is cancelled, or Close is called. A non-nil
-// opts.Checkpoint resumes the job from that warm checkpoint (beliefs,
-// spend, stop votes and selection cache); cfg.Budget is then the job's
-// total budget, of which the checkpoint's spend is already consumed.
+// cfg.From resumes the job from that warm checkpoint (beliefs, spend,
+// stop votes and selection cache); cfg.Budget is then the job's total
+// budget, of which the checkpoint's spend is already consumed.
 func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, opts SessionOptions) (*Session, error) {
-	c := opts.Checkpoint
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -202,9 +197,8 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 		finished:     make(chan struct{}),
 		cancel:       cancel,
 		roundTimeout: opts.RoundTimeout,
-		checkpoint:   c,
+		checkpoint:   cfg.From,
 		journal:      opts.journal,
-		costAware:    opts.CostAware,
 		metrics:      metrics,
 		logger:       opts.Logger,
 	}
@@ -226,38 +220,35 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 	if opts.recovered != nil {
 		s.resume(opts.recovered)
 	}
-	if s.journal != nil {
-		// Commit every engine round to the journal — with the server's
-		// round counter, so recovery restores ID monotonicity — before the
-		// advisory OnCheckpoint hook runs. The counter is read under s.mu;
-		// the append itself runs under the journal's own lock (Session.mu
-		// is never held across journal I/O from this path).
-		cfg.Journal = pipeline.RoundRecorderFunc(func(round int, ck *pipeline.Checkpoint) error {
-			s.mu.Lock()
-			next := s.nextID
-			applied := s.appliedSeq
-			s.mu.Unlock()
-			return s.journal.commitRound(next, applied, ck)
-		})
-	}
 	// The session's bundle taps the pipeline's per-round metrics; a
-	// caller-provided sink still receives every record.
-	if cfg.Metrics != nil {
-		cfg.Metrics = pipeline.MultiMetrics{metrics, cfg.Metrics}
-	} else {
-		cfg.Metrics = metrics
-	}
-	// Capture every round's warm checkpoint so clients can persist the
-	// session's progress (GET /checkpoint) and resume after a restart;
-	// a caller-provided hook still runs.
-	userHook := cfg.OnCheckpoint
-	cfg.OnCheckpoint = func(ck *pipeline.Checkpoint) {
+	// caller-provided sink (MultiMetrics skips a nil one) still receives
+	// every record.
+	cfg.Metrics = pipeline.MultiMetrics{metrics, cfg.Metrics}
+	// The round hook commits the round to the journal with the server's
+	// round counter (so recovery restores ID monotonicity; Session.mu is
+	// never held across the journal I/O), captures the checkpoint for GET
+	// /checkpoint, then runs a caller's hook.
+	userHook := cfg.Journal
+	cfg.Journal = func(round int, ck *pipeline.Checkpoint) error {
+		if s.journal != nil {
+			s.mu.Lock()
+			next, applied := s.nextID, s.appliedSeq
+			s.mu.Unlock()
+			if err := s.journal.commitRound(next, applied, ck); err != nil {
+				return err
+			}
+		}
 		s.mu.Lock()
 		s.checkpoint = ck
 		s.mu.Unlock()
 		if userHook != nil {
-			userHook(ck)
+			return userHook(round, ck)
 		}
+		return nil
+	}
+	run := pipeline.Run
+	if opts.CostAware {
+		run = pipeline.RunCostAware
 	}
 	go func() {
 		defer close(s.finished)
@@ -272,18 +263,7 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 			}
 			defer release()
 		}
-		var res *pipeline.Result
-		var err error
-		switch {
-		case s.costAware && c != nil:
-			res, err = pipeline.ResumeCostAware(runCtx, ds, cfg, c)
-		case s.costAware:
-			res, err = pipeline.RunCostAware(runCtx, ds, cfg)
-		case c != nil:
-			res, err = pipeline.Resume(runCtx, ds, cfg, c)
-		default:
-			res, err = pipeline.Run(runCtx, ds, cfg)
-		}
+		res, err := run(runCtx, ds, cfg)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if err == nil && len(s.replay) > 0 {
@@ -296,11 +276,8 @@ func NewSession(ctx context.Context, ds *dataset.Dataset, cfg pipeline.Config, o
 		s.result = res
 		s.runErr = err
 		s.closed = true
-		if s.pending != nil {
-			// Unblock any handler waiting on a round that will never
-			// complete.
-			s.pending = nil
-		}
+		// Unblock any handler waiting on a round that will never complete.
+		s.pending = nil
 	}()
 	return s, nil
 }
