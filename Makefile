@@ -73,7 +73,8 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # End-to-end observability smoke: boot a -sim hcserve, scrape GET
-# /metrics while it labels, and assert the round counters advance.
+# /metrics while it labels, and assert the round counters advance, in
+# GET /v1/metrics too (under the default session's label).
 # -count=10: a scrape racing the per-route counter once failed about 1
 # run in 30, which a single run would rarely catch.
 metrics-smoke:

@@ -17,7 +17,7 @@
 //	GET    /v1/sessions/{id}      one session's state + status
 //	DELETE /v1/sessions/{id}      cancel a session
 //	*      /v1/sessions/{id}/...  that session's routes (as above)
-//	GET    /v1/metrics            service-level metrics
+//	GET    /v1/metrics            service metrics plus every session's
 //
 // -max-running bounds how many session engines execute simultaneously
 // (further sessions queue); -retention caps how many finished sessions
@@ -68,8 +68,8 @@
 // slow-header (slowloris) client cannot pin connections open forever.
 //
 // Observability: GET /metrics returns the session's full metrics
-// snapshot as JSON; GET /v1/metrics the manager's, including
-// per-session labeled families. Round transitions are logged to stderr.
+// snapshot as JSON; GET /v1/metrics the manager's, with every session's
+// metrics under a "session" label. Round transitions are logged to stderr.
 // With -pprof the standard net/http/pprof profiling endpoints are
 // additionally mounted under /debug/pprof/ (off by default: profiles
 // can reveal more about the host than a labeling endpoint should).

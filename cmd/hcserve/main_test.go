@@ -105,10 +105,11 @@ func TestRunServesHTTP(t *testing.T) {
 
 // TestRunSimMetricsSmoke is the end-to-end observability smoke: start a
 // self-driving (-sim) server with -pprof, scrape GET /metrics while the
-// session runs, and assert the round counters advance and the pprof
-// index answers. The budget is large enough that the session outlives
-// the test, so the scrapes are deterministic; the test stops the server
-// by cancelling the context. This is the check `make verify` runs.
+// session runs, and assert the round counters advance, GET /v1/metrics
+// carries the same round count under the default session's label, and
+// the pprof index answers. The budget is large enough that the session
+// outlives the test, so the scrapes are deterministic; the test stops
+// the server by cancelling the context. This is the check `make verify` runs.
 func TestRunSimMetricsSmoke(t *testing.T) {
 	path := writeDataset(t)
 	var out bytes.Buffer
@@ -120,18 +121,19 @@ func TestRunSimMetricsSmoke(t *testing.T) {
 		done <- run(ctx, []string{"-in", path, "-addr", addr, "-budget", "1e7", "-sim", "-pprof"}, &out)
 	}()
 
-	scrape := func() (map[string]obsv.MetricSnapshot, error) {
-		resp, err := http.Get("http://" + addr + "/metrics")
+	scrapePath := func(path string) (map[string]obsv.MetricSnapshot, error) {
+		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			return nil, err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("/metrics = %d", resp.StatusCode)
+			return nil, fmt.Errorf("%s = %d", path, resp.StatusCode)
 		}
 		var snap map[string]obsv.MetricSnapshot
 		return snap, json.NewDecoder(resp.Body).Decode(&snap)
 	}
+	scrape := func() (map[string]obsv.MetricSnapshot, error) { return scrapePath("/metrics") }
 	counter := func(snap map[string]obsv.MetricSnapshot, name string) float64 {
 		if ms, ok := snap[name]; ok && ms.Value != nil {
 			return *ms.Value
@@ -164,8 +166,32 @@ func TestRunSimMetricsSmoke(t *testing.T) {
 			t.Errorf("counter %s not advancing: %+v", name, snap[name])
 		}
 	}
-	// The counters keep advancing while the sim runs.
-	first := counter(snap, "pipeline_rounds_total")
+	// GET /v1/metrics folds the default session's registry in under its
+	// session label: its round count lies between two root scrapes taken
+	// before and after it.
+	v1Rounds := func() float64 {
+		t.Helper()
+		before, err := scrape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v1, err := scrapePath("/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := scrape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := v1["pipeline_rounds_total"].Values["default"]
+		lo, hi := counter(before, "pipeline_rounds_total"), counter(after, "pipeline_rounds_total")
+		if !ok || got < lo || got > hi {
+			t.Fatalf("/v1/metrics pipeline_rounds_total{default} = %v (present %v), want within root scrapes [%v, %v]", got, ok, lo, hi)
+		}
+		return got
+	}
+	// The counters keep advancing while the sim runs, in both scrapes.
+	first := v1Rounds()
 	deadline = time.After(20 * time.Second)
 	for {
 		s, err := scrape()
@@ -178,6 +204,9 @@ func TestRunSimMetricsSmoke(t *testing.T) {
 			t.Fatalf("pipeline_rounds_total stuck at %v (last err: %v)", first, err)
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+	if v1 := v1Rounds(); v1 <= first {
+		t.Errorf("/v1/metrics pipeline_rounds_total{default} stuck at %v", v1)
 	}
 	// The middleware counts a request after its handler returns, so a
 	// client can read one scrape and open the next before the first is

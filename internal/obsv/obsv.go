@@ -157,6 +157,43 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // appears as the key in JSON snapshots.
 func labelKey(values []string) string { return strings.Join(values, ",") }
 
+// Fold merges src, one registry's snapshot, into dst under a leading
+// label: a plain instrument becomes a family keyed by value, and a
+// family's keys gain value as their first element, so several
+// registries' snapshots share one document. value must not contain a
+// comma, and src's names must not collide with dst's own instruments.
+func Fold(dst map[string]MetricSnapshot, label, value string, src map[string]MetricSnapshot) {
+	key := func(k string) string { return labelKey([]string{value, k}) }
+	for name, ms := range src {
+		out, ok := dst[name]
+		if !ok {
+			out = MetricSnapshot{Type: ms.Type, Help: ms.Help, Labels: append([]string{label}, ms.Labels...)}
+		}
+		if ms.Type == "histogram" {
+			if out.Histograms == nil {
+				out.Histograms = make(map[string]HistogramSnapshot)
+			}
+			if ms.Histogram != nil {
+				out.Histograms[value] = *ms.Histogram
+			}
+			for k, h := range ms.Histograms {
+				out.Histograms[key(k)] = h
+			}
+		} else {
+			if out.Values == nil {
+				out.Values = make(map[string]float64)
+			}
+			if ms.Value != nil {
+				out.Values[value] = *ms.Value
+			}
+			for k, v := range ms.Values {
+				out.Values[key(k)] = v
+			}
+		}
+		dst[name] = out
+	}
+}
+
 // checkLabels panics on a label-arity mismatch (a programming error).
 func checkLabels(declared, values []string) {
 	if len(values) != len(declared) {

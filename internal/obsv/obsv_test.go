@@ -201,3 +201,52 @@ func TestVecRemoveBadArityPanics(t *testing.T) {
 	v := &CounterVec{labels: []string{"a", "b"}, m: map[string]*Counter{}}
 	v.Remove("only-one")
 }
+
+// TestFold folds two registries' snapshots under a leading label into a
+// third's: plain instruments become families keyed by the label value,
+// and families gain it as their first key element.
+func TestFold(t *testing.T) {
+	dst := NewRegistry()
+	dst.Counter("own", "").Inc()
+	snap := dst.Snapshot()
+	for _, id := range []string{"a", "b"} {
+		r := NewRegistry()
+		r.Counter("hits", "hits seen").Add(2)
+		r.Gauge("level", "").Set(-1)
+		r.Histogram("lat", "", []float64{1}).Observe(0.5)
+		r.CounterVec("reqs", "", "route", "code").With("/x", "200").Inc()
+		r.HistogramVec("route_lat", "", []float64{1}, "route").With("/x").Observe(2)
+		r.GaugeVec("empty", "", "state")
+		Fold(snap, "session", id, r.Snapshot())
+	}
+	if got := *snap["own"].Value; got != 1 {
+		t.Errorf("own = %v, want 1 (untouched)", got)
+	}
+	hits := snap["hits"]
+	if hits.Type != "counter" || hits.Help != "hits seen" || hits.Value != nil ||
+		len(hits.Labels) != 1 || hits.Labels[0] != "session" ||
+		len(hits.Values) != 2 || hits.Values["a"] != 2 || hits.Values["b"] != 2 {
+		t.Errorf("plain counter folded to %+v", hits)
+	}
+	if level := snap["level"]; level.Type != "gauge" || level.Values["b"] != -1 {
+		t.Errorf("plain gauge folded to %+v", level)
+	}
+	lat := snap["lat"]
+	if lat.Type != "histogram" || lat.Histogram != nil || len(lat.Histograms) != 2 ||
+		lat.Histograms["a"].Count != 1 || lat.Histograms["a"].Buckets[0].Count != 1 {
+		t.Errorf("plain histogram folded to %+v", lat)
+	}
+	reqs := snap["reqs"]
+	if len(reqs.Labels) != 3 || reqs.Labels[0] != "session" || reqs.Labels[2] != "code" ||
+		len(reqs.Values) != 2 || reqs.Values["a,/x,200"] != 1 || reqs.Values["b,/x,200"] != 1 {
+		t.Errorf("counter family folded to %+v", reqs)
+	}
+	rl := snap["route_lat"]
+	if len(rl.Labels) != 2 || len(rl.Histograms) != 2 ||
+		rl.Histograms["b,/x"].Count != 1 || rl.Histograms["b,/x"].Buckets[0].Count != 0 {
+		t.Errorf("histogram family folded to %+v", rl)
+	}
+	if empty, ok := snap["empty"]; !ok || empty.Type != "gauge" || len(empty.Labels) != 2 || len(empty.Values) != 0 {
+		t.Errorf("empty family folded to %+v (present %v)", empty, ok)
+	}
+}

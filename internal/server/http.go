@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -124,17 +123,10 @@ func (rt *router) logf(format string, args ...any) {
 	}
 }
 
-// handle registers fn under a "METHOD /path" pattern; a pattern without
-// a method ("/path" or "/tree/{rest...}") accepts every method (the
-// handler does its own dispatch — e.g. the manager's per-session proxy,
-// whose sub-routes enforce methods themselves). Registration is
+// handle registers fn under a "METHOD /path" pattern. Registration is
 // construction-time only and not safe for concurrent use.
 func (rt *router) handle(pattern string, fn http.HandlerFunc) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		rt.mux.HandleFunc(pattern, rt.instrument(pattern, fn))
-		return
-	}
+	method, path, _ := strings.Cut(pattern, " ")
 	pm := rt.paths[path]
 	if pm == nil {
 		pm = &pathMethods{rt: rt, path: path, methods: make(map[string]http.HandlerFunc)}
@@ -225,8 +217,9 @@ const (
 	maxSessionBytes = 1 << 30 // POST /v1/sessions (a create) and /v1/cluster/accept (a journal image)
 )
 
-// decodeBody reads a request body of at most limit bytes and, when v is
-// non-nil, decodes it as JSON into v, rejecting unknown fields. An
+// decodeBody reads a request body of at most limit bytes. When v is
+// non-nil it decodes the body as JSON straight into v, rejecting unknown
+// fields, and returns no bytes; when v is nil it returns the body. An
 // oversized body is answered 413 (one whose declared length is past the
 // cap before any of it is read), an unreadable or malformed one 400
 // (what names the payload); ok reports whether the handler may go on.
@@ -234,13 +227,17 @@ func (rt *router) decodeBody(w http.ResponseWriter, r *http.Request, limit int64
 	var err error
 	if r.ContentLength > limit {
 		err = &http.MaxBytesError{Limit: limit}
+	} else if capped := http.MaxBytesReader(w, r.Body, limit); v == nil {
+		body, err = io.ReadAll(capped)
 	} else {
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	}
-	if err == nil && v != nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
+		dec := json.NewDecoder(capped)
 		dec.DisallowUnknownFields()
 		err = dec.Decode(v)
+		// Read to the end of the body whatever the decode said: a body
+		// past the cap is 413 even when its JSON is malformed or trailed.
+		if _, rerr := io.Copy(io.Discard, capped); rerr != nil {
+			err = rerr
+		}
 	}
 	if err == nil {
 		return body, true

@@ -21,6 +21,7 @@ import (
 	"hcrowd/internal/crowd"
 	"hcrowd/internal/dataset"
 	"hcrowd/internal/journal"
+	"hcrowd/internal/obsv"
 	"hcrowd/internal/pipeline"
 )
 
@@ -184,9 +185,8 @@ func NewManager(opts ManagerOptions) *Manager {
 }
 
 // Metrics returns the manager's instrument bundle: its own HTTP traffic
-// (under manager_*), session-state gauges and the per-session labeled
-// families. Per-session pipeline metrics land here via the sink each
-// Create wires in.
+// (under manager_*), session-state gauges and cluster counters. Each
+// session's figures stay in its own bundle (Session.Metrics).
 func (m *Manager) Metrics() *ManagerMetrics { return m.metrics }
 
 func (m *Manager) logf(format string, args ...any) {
@@ -201,8 +201,7 @@ func (m *Manager) logf(format string, args ...any) {
 // only once the manager's concurrency gate admits it; until then it is
 // queued and publishes no rounds. cfg.Source is replaced by the
 // session's answer queue (as in NewSession); any cfg.Metrics sink still
-// receives every round record, alongside the manager's per-session
-// labeled families.
+// receives every round record, alongside the session's own bundle.
 func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, opts SessionOptions) (string, *Session, error) {
 	m.mu.Lock()
 	if m.draining {
@@ -248,11 +247,8 @@ func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, op
 		if freshJournal == nil {
 			return
 		}
-		if err := freshJournal.close(); err != nil {
-			m.logf("manager: session %s journal close: %v", id, err)
-		}
-		if err := os.Remove(freshJournal.path()); err != nil {
-			m.logf("manager: session %s journal remove: %v", id, err)
+		if err := retireJournal(freshJournal.path(), freshJournal.close); err != nil {
+			m.logf("manager: session %s journal discard: %v", id, err)
 		}
 	}
 
@@ -261,18 +257,15 @@ func (m *Manager) Create(id string, ds *dataset.Dataset, cfg pipeline.Config, op
 		opts.Logger = m.logger
 	}
 	opts.gate = m.gate(ms)
-	cfg.Metrics = pipeline.MultiMetrics{m.metrics.sessionSink(id), cfg.Metrics}
 	s, err := NewSession(m.baseCtx, ds, cfg, opts)
 	if err != nil {
 		discardFresh()
-		m.metrics.forgetSession(id)
 		return "", nil, err
 	}
 	ms.s = s
 	if err := m.register(ms); err != nil {
 		s.Close()
 		discardFresh()
-		m.metrics.forgetSession(id)
 		return "", nil, err
 	}
 	m.logf("manager: session %s created (%d facts, budget %.0f)", id, ds.NumFacts(), cfg.Budget)
@@ -316,15 +309,28 @@ func (m *Manager) newJournal(id string, req *CreateSessionRequest, ins *journalI
 	}
 	j := newSessionJournal(w, created, nil, m.compactEvery(), ins)
 	if err := j.logCreated(); err != nil {
-		if cerr := j.close(); cerr != nil {
-			m.logf("manager: journal %s close: %v", id, cerr)
-		}
-		if rerr := os.Remove(path); rerr != nil {
-			m.logf("manager: journal %s remove: %v", id, rerr)
+		if rerr := retireJournal(path, j.close); rerr != nil {
+			m.logf("manager: journal %s discard: %v", id, rerr)
 		}
 		return nil, err
 	}
 	return j, nil
+}
+
+// retireJournal deletes the journal file at path, first calling closer
+// when it is non-nil. A file that is already gone counts as deleted; any
+// other close or remove error is returned for the caller to log or
+// return.
+func retireJournal(path string, closer func() error) error {
+	var cerr error
+	if closer != nil {
+		cerr = closer()
+	}
+	rerr := os.Remove(path)
+	if errors.Is(rerr, os.ErrNotExist) {
+		rerr = nil
+	}
+	return errors.Join(cerr, rerr)
 }
 
 // Recover scans JournalDir and rebuilds every journaled session: the
@@ -377,10 +383,7 @@ func (m *Manager) recoverOne(path string) (string, error) {
 	if len(recs) == 0 {
 		// The create this journal belonged to never returned success, so
 		// no client was promised anything.
-		if cerr := w.Close(); cerr != nil {
-			return "", cerr
-		}
-		return "", os.Remove(path)
+		return "", retireJournal(path, w.Close)
 	}
 	closeOnErr := func() {
 		if cerr := w.Close(); cerr != nil {
@@ -533,15 +536,14 @@ func (m *Manager) watch(ms *managedSession) {
 		// The engine has returned, so nothing appends anymore. The file
 		// stays on disk — done/failed/drained sessions all recover on the
 		// next start — unless an explicit Cancel retired the job.
-		if cerr := ms.journal.close(); cerr != nil {
-			m.logf("manager: session %s journal close: %v", ms.id, cerr)
-		}
 		if retire {
-			if rerr := os.Remove(ms.journal.path()); rerr != nil {
+			if rerr := retireJournal(ms.journal.path(), ms.journal.close); rerr != nil {
 				m.logf("manager: session %s journal retire: %v", ms.id, rerr)
 			} else {
 				m.logf("manager: session %s journal retired", ms.id)
 			}
+		} else if cerr := ms.journal.close(); cerr != nil {
+			m.logf("manager: session %s journal close: %v", ms.id, cerr)
 		}
 	}
 	if err != nil {
@@ -564,7 +566,7 @@ func (m *Manager) watch(ms *managedSession) {
 		if draining {
 			continue
 		}
-		if rerr := os.Remove(ems.journal.path()); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+		if rerr := retireJournal(ems.journal.path(), nil); rerr != nil {
 			m.logf("manager: session %s journal retire (evicted): %v", ems.id, rerr)
 		} else {
 			m.logf("manager: session %s journal retired (evicted)", ems.id)
@@ -599,13 +601,12 @@ func (m *Manager) evictLocked() []*managedSession {
 }
 
 // unregisterLocked removes a session from the registry and the List
-// order and drops its per-session metric labels. Callers hold m.mu.
+// order (and so its numbers from GET /v1/metrics). Callers hold m.mu.
 func (m *Manager) unregisterLocked(ms *managedSession) {
 	delete(m.sessions, ms.id)
 	if i := slices.Index(m.order, ms); i >= 0 {
 		m.order = slices.Delete(m.order, i, i+1)
 	}
-	m.metrics.forgetSession(ms.id)
 }
 
 // updateStateGaugesLocked recomputes the per-state session gauge from
@@ -709,7 +710,7 @@ func (m *Manager) Cancel(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
 	if retireNow != nil {
-		if err := os.Remove(retireNow.path()); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := retireJournal(retireNow.path(), nil); err != nil {
 			m.logf("manager: session %s journal retire: %v", id, err)
 		}
 	}
@@ -818,7 +819,7 @@ func (m *Manager) AcceptHandoff(id string, data []byte) error {
 		// path behind; path did not exist before, so remove it — a stray
 		// journal would make the source's retry fail as a duplicate and a
 		// restart here resurrect a second owner.
-		if rerr := os.Remove(path); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
+		if rerr := retireJournal(path, nil); rerr != nil {
 			m.logf("manager: accept handoff %s: discard landed journal: %v", id, rerr)
 		}
 		return err
@@ -828,7 +829,7 @@ func (m *Manager) AcceptHandoff(id string, data []byte) error {
 		// No ack was given, so the source still holds the authoritative
 		// copy; discard the landed file rather than leaving a journal a
 		// restart would resurrect into a split-brain duplicate.
-		if rerr := os.Remove(path); rerr != nil {
+		if rerr := retireJournal(path, nil); rerr != nil {
 			m.logf("manager: accept handoff %s: discard failed journal: %v", id, rerr)
 		}
 		return fmt.Errorf("server: accept handoff %s: %w", id, err)
@@ -859,10 +860,7 @@ func (m *Manager) Retire(id string) error {
 	m.updateStateGaugesLocked()
 	m.mu.Unlock()
 	if ms.journal != nil {
-		if err := ms.journal.close(); err != nil {
-			m.logf("manager: session %s journal close: %v", id, err)
-		}
-		if err := os.Remove(ms.journal.path()); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := retireJournal(ms.journal.path(), ms.journal.close); err != nil {
 			return fmt.Errorf("server: retire %s: journal: %w", id, err)
 		}
 	}
@@ -1088,13 +1086,28 @@ func (m *Manager) CreateFromRequest(req CreateSessionRequest) (string, *Session,
 	return m.Create(req.Name, ds, cfg, opts)
 }
 
+// metricsSnapshot is the GET /v1/metrics document: the manager's own
+// instruments plus every registered session's, folded under a leading
+// "session" label (session IDs hold no comma; see sessionIDPattern).
+func (m *Manager) metricsSnapshot() map[string]obsv.MetricSnapshot {
+	snap := m.metrics.reg.Snapshot()
+	m.mu.Lock()
+	sessions := slices.Clone(m.order)
+	m.mu.Unlock()
+	for _, ms := range sessions {
+		obsv.Fold(snap, "session", ms.id, ms.s.metrics.reg.Snapshot())
+	}
+	return snap
+}
+
 // Handler returns the manager's HTTP surface:
 //
 //	POST   /v1/sessions           create a session (CreateSessionRequest)
 //	GET    /v1/sessions           list sessions (creation order)
 //	GET    /v1/sessions/{id}      one session's info (state + status)
 //	DELETE /v1/sessions/{id}      cancel a session's run
-//	GET    /v1/metrics            the manager's metrics snapshot
+//	GET    /v1/metrics            the manager's metrics snapshot plus
+//	                              every session's, under a "session" label
 //	*      /v1/sessions/{id}/...  the session's own routes (queries,
 //	                              answers, status, checkpoint, labels,
 //	                              metrics — see Handler's route list)
@@ -1137,19 +1150,24 @@ func (m *Manager) buildHandler() http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	metricsHandler := m.metrics.Handler()
 	rt.handle("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		metricsHandler.ServeHTTP(w, r)
+		rt.writeJSON(w, http.StatusOK, m.metricsSnapshot())
 	})
-	// The per-session proxy accepts every method: the session's own
-	// router enforces methods (and 405s) per sub-route.
-	rt.handle("/v1/sessions/{id}/{rest...}", func(w http.ResponseWriter, r *http.Request) {
+	// The per-session proxy is not instrumented itself: the session's own
+	// router counts and times each request once, under its inner route
+	// (and 405s wrong methods). Only the unknown-session 404 is counted
+	// here, under the proxy's route label.
+	const proxyRoute = "/v1/sessions/{id}/{rest...}"
+	notFound := rt.instrument(proxyRoute, func(w http.ResponseWriter, r *http.Request) {
+		rt.httpError(w, http.StatusNotFound, "unknown session "+r.PathValue("id"))
+	})
+	rt.mux.HandleFunc(proxyRoute, func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		m.mu.Lock()
 		ms, ok := m.sessions[id]
 		m.mu.Unlock()
 		if !ok {
-			rt.httpError(w, http.StatusNotFound, "unknown session "+id)
+			notFound(w, r)
 			return
 		}
 		http.StripPrefix("/v1/sessions/"+id, ms.routes).ServeHTTP(w, r)

@@ -429,8 +429,8 @@ func TestManagerRetentionEviction(t *testing.T) {
 			t.Errorf("session %s not evicted", id)
 		}
 	}
-	snap := m.Metrics().Registry().Snapshot()
-	rounds := snap["session_rounds_total"]
+	snap := scrape(t, m.Handler(), "/v1/metrics")
+	rounds := snap["pipeline_rounds_total"]
 	if len(rounds.Values) != 1 {
 		t.Errorf("per-session metric labels after eviction = %v, want only the retained session",
 			rounds.Values)

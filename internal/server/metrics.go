@@ -12,7 +12,8 @@ import (
 // implementation — the checking loop's per-round figures, including the
 // incremental selectors' CondEntropy-eval counts (the unit of the
 // benchmark's taskselect.{uniform,costaware}.evals_per_round). One bundle
-// serves one Session; scrape it at GET /metrics.
+// serves one Session; scrape it at GET /metrics, or with every other
+// registered session's under a "session" label at GET /v1/metrics.
 type Metrics struct {
 	reg *obsv.Registry
 
@@ -174,10 +175,6 @@ func (m *Metrics) RecordRound(r pipeline.RoundMetrics) {
 	m.selectorReused.Add(float64(r.Selector.Reused))
 }
 
-// Registry exposes the underlying registry (e.g. to register extra
-// service-specific instruments alongside).
-func (m *Metrics) Registry() *obsv.Registry { return m.reg }
-
 // Handler serves the metrics snapshot as JSON.
 func (m *Metrics) Handler() http.Handler { return m.reg.Handler() }
 
@@ -185,11 +182,10 @@ var _ pipeline.MetricsSink = (*Metrics)(nil)
 
 // ManagerMetrics is the session manager's bundle: its own HTTP traffic
 // under a manager_ prefix (so one scrape can't confuse service-level and
-// session-level request counts), session lifecycle counters, and
-// per-session labeled families fed by each session's pipeline sink.
-// Evicting a session removes its label values (forgetSession), keeping
-// the snapshot bounded by the retention policy rather than by service
-// uptime.
+// session-level request counts), session lifecycle counters and cluster
+// routing counters. Per-session figures stay in each session's own
+// bundle; GET /v1/metrics folds those in at scrape time, so a session's
+// numbers leave the scrape with its registry entry.
 type ManagerMetrics struct {
 	reg *obsv.Registry
 
@@ -205,12 +201,6 @@ type ManagerMetrics struct {
 	clusterProxied   *obsv.Counter
 	clusterHandoffs  *obsv.Counter
 	clusterAccepts   *obsv.Counter
-
-	// Per-session families ("session" label = session ID).
-	sessionRounds  *obsv.CounterVec
-	sessionAnswers *obsv.CounterVec
-	sessionBudget  *obsv.GaugeVec
-	sessionQuality *obsv.GaugeVec
 }
 
 // NewManagerMetrics builds the manager bundle with every instrument
@@ -239,59 +229,5 @@ func NewManagerMetrics() *ManagerMetrics {
 			"sessions handed off to another replica (journal streamed, local copy retired)"),
 		clusterAccepts: reg.Counter("cluster_accepts_total",
 			"sessions accepted from another replica's journal handoff"),
-
-		sessionRounds: reg.CounterVec("session_rounds_total",
-			"pipeline rounds completed, per session", "session"),
-		sessionAnswers: reg.CounterVec("session_answers_total",
-			"expert answers received, per session", "session"),
-		sessionBudget: reg.GaugeVec("session_budget_spent",
-			"cumulative budget consumed, per session", "session"),
-		sessionQuality: reg.GaugeVec("session_quality",
-			"belief quality after the latest round, per session", "session"),
 	}
 }
-
-// sessionSink returns a pipeline.MetricsSink that feeds the per-session
-// labeled families for one session ID.
-func (m *ManagerMetrics) sessionSink(id string) pipeline.MetricsSink {
-	return &perSessionSink{
-		rounds:  m.sessionRounds.With(id),
-		answers: m.sessionAnswers.With(id),
-		budget:  m.sessionBudget.With(id),
-		quality: m.sessionQuality.With(id),
-	}
-}
-
-// forgetSession drops a session's label values from every per-session
-// family.
-func (m *ManagerMetrics) forgetSession(id string) {
-	m.sessionRounds.Remove(id)
-	m.sessionAnswers.Remove(id)
-	m.sessionBudget.Remove(id)
-	m.sessionQuality.Remove(id)
-}
-
-// Registry exposes the underlying registry.
-func (m *ManagerMetrics) Registry() *obsv.Registry { return m.reg }
-
-// Handler serves the manager's metrics snapshot as JSON.
-func (m *ManagerMetrics) Handler() http.Handler { return m.reg.Handler() }
-
-// perSessionSink records one session's round metrics under its
-// session-labeled families.
-type perSessionSink struct {
-	rounds  *obsv.Counter
-	answers *obsv.Counter
-	budget  *obsv.Gauge
-	quality *obsv.Gauge
-}
-
-// RecordRound implements pipeline.MetricsSink.
-func (k *perSessionSink) RecordRound(r pipeline.RoundMetrics) {
-	k.rounds.Inc()
-	k.answers.Add(float64(r.AnswersReceived))
-	k.budget.Set(r.BudgetSpent)
-	k.quality.Set(r.Quality)
-}
-
-var _ pipeline.MetricsSink = (*perSessionSink)(nil)
